@@ -38,19 +38,11 @@ use crate::load::StageLoad;
 use crate::metrics::{IterationReport, OpSpan, WorkerTimeline};
 use crate::schedule::{worker_op_order, Op, OpKind, ScheduleKind};
 
-/// Node-count threshold above which [`PipelineSimulator`] switches from the
-/// sequential Kahn engine to the sharded wavefront engine (given a
-/// multi-thread rayon pool).  Paper-scale sweeps sit well below this, so
-/// their execution path — and artifacts — are unchanged.
-const DEFAULT_SHARD_THRESHOLD: usize = 1 << 17;
-
 /// Simulator for a single pipeline (one data-parallel replica).
 #[derive(Debug, Clone)]
 pub struct PipelineSimulator {
     comm: CommCostModel,
     schedule: ScheduleKind,
-    /// Graphs with at least this many nodes run on the sharded engine.
-    shard_threshold: usize,
 }
 
 /// The dependency DAG of one iteration: per-node op metadata plus typed
@@ -122,30 +114,7 @@ impl OpGraph {
 impl PipelineSimulator {
     /// Create a simulator with the given communication model and schedule.
     pub fn new(comm: CommCostModel, schedule: ScheduleKind) -> Self {
-        PipelineSimulator {
-            comm,
-            schedule,
-            shard_threshold: DEFAULT_SHARD_THRESHOLD,
-        }
-    }
-
-    /// Override the node count at which the sharded wavefront engine takes
-    /// over from the sequential Kahn engine (`0` forces sharded execution
-    /// for every graph; `usize::MAX` forces sequential).  Both engines are
-    /// bit-identical — this knob exists for very-large-DAG performance and
-    /// for the property tests pinning that equivalence.
-    pub fn with_shard_threshold(mut self, threshold: usize) -> Self {
-        self.shard_threshold = threshold;
-        self
-    }
-
-    /// Run a built graph on whichever engine its size calls for.
-    fn run_graph(&self, graph: &OpGraph, timelines: &mut [WorkerTimeline]) {
-        if graph.ops.len() >= self.shard_threshold && rayon::current_num_threads() > 1 {
-            execute_graph_sharded(graph, timelines);
-        } else {
-            execute_graph(graph, timelines);
-        }
+        PipelineSimulator { comm, schedule }
     }
 
     /// The schedule being simulated.
@@ -181,7 +150,7 @@ impl PipelineSimulator {
         }
 
         let graph = self.build_graph(model, stage_loads, &real, m);
-        self.run_graph(&graph, &mut timelines);
+        execute_graph(&graph, &mut timelines);
         finish_report(stage_loads, timelines)
     }
 
@@ -214,7 +183,7 @@ impl PipelineSimulator {
         }
 
         let graph = self.build_forward_graph(model, stage_loads, &real, m);
-        self.run_graph(&graph, &mut timelines);
+        execute_graph(&graph, &mut timelines);
         finish_report(stage_loads, timelines)
     }
 
@@ -569,113 +538,6 @@ fn execute_graph(graph: &OpGraph, timelines: &mut [WorkerTimeline]) {
         scheduled == n,
         "pipeline schedule deadlocked ({scheduled} of {n} ops scheduled)"
     );
-}
-
-/// Frontier size below which a wavefront is relaxed inline rather than
-/// fanned across the pool (per-task overhead would dominate).
-const PARALLEL_FRONTIER: usize = 128;
-
-/// Raise `slot` (an `f64` stored as bits) to at least `value`.  All ready
-/// times are non-negative finite `f64`s, so plain float comparison on the
-/// decoded bits is a total order here.
-fn atomic_max_f64(slot: &std::sync::atomic::AtomicU64, value: f64) {
-    use std::sync::atomic::Ordering;
-    let mut current = slot.load(Ordering::Relaxed);
-    while f64::from_bits(current) < value {
-        match slot.compare_exchange_weak(
-            current,
-            value.to_bits(),
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => return,
-            Err(actual) => current = actual,
-        }
-    }
-}
-
-/// The sharded (multi-threaded) twin of [`execute_graph`], used for
-/// very-large DAGs (hundreds of thousands of ops — e.g. deep pipelines with
-/// thousands of micro-batches).
-///
-/// Level-synchronous wavefront relaxation: each round takes the current
-/// frontier of dependency-free nodes, relaxes them across the rayon pool
-/// (atomic `f64`-max on successor ready times, atomic decrement on
-/// predecessor counts), and the nodes whose last dependency just resolved
-/// form the next frontier.
-///
-/// Bit-identical to the sequential engine by construction:
-///
-/// * a node's final ready time is the max of `end + weight` over its
-///   predecessors — `f64::max` over the *same* finite non-negative values
-///   is order-independent, and every predecessor finishes its relaxation
-///   before the node enters a frontier (the push happens only after the
-///   last `preds` decrement, which each predecessor performs after its
-///   max), so no node is processed with a partial ready time;
-/// * spans are assembled afterwards in node-id order, which for each
-///   worker equals chain order — exactly the order the sequential engine's
-///   in-order chain edges force it to emit.
-fn execute_graph_sharded(graph: &OpGraph, timelines: &mut [WorkerTimeline]) {
-    use rayon::prelude::*;
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-    let n = graph.ops.len();
-    let ready: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0f64.to_bits())).collect();
-    let preds: Vec<AtomicUsize> = graph.preds.iter().map(|&p| AtomicUsize::new(p)).collect();
-
-    // Relax one completed node: raise successor ready times, release
-    // successors whose last dependency this was into `next`.
-    let relax = |node: usize, next: &mut Vec<usize>| {
-        let start = f64::from_bits(ready[node].load(Ordering::Acquire));
-        let end = start + graph.durations[node];
-        for &(succ, weight) in graph.succs(node) {
-            atomic_max_f64(&ready[succ], end + weight);
-            if preds[succ].fetch_sub(1, Ordering::AcqRel) == 1 {
-                next.push(succ);
-            }
-        }
-    };
-
-    let mut frontier: Vec<usize> = (0..n).filter(|&node| graph.preds[node] == 0).collect();
-    let mut scheduled = 0usize;
-    while !frontier.is_empty() {
-        scheduled += frontier.len();
-        frontier = if frontier.len() >= PARALLEL_FRONTIER {
-            let chunk = frontier.len().div_ceil(rayon::current_num_threads() * 4);
-            let locals: Vec<Vec<usize>> = frontier
-                .par_chunks(chunk.max(1))
-                .map(|nodes| {
-                    let mut local = Vec::with_capacity(nodes.len());
-                    for &node in nodes {
-                        relax(node, &mut local);
-                    }
-                    local
-                })
-                .collect();
-            locals.into_iter().flatten().collect()
-        } else {
-            let mut local = Vec::with_capacity(frontier.len());
-            for &node in &frontier {
-                relax(node, &mut local);
-            }
-            local
-        };
-    }
-    assert!(
-        scheduled == n,
-        "pipeline schedule deadlocked ({scheduled} of {n} ops scheduled)"
-    );
-
-    // Node ids ascend in chain order within each worker, so pushing in id
-    // order reproduces the sequential engine's per-worker span order.
-    for node in 0..n {
-        let start = f64::from_bits(ready[node].load(Ordering::Relaxed));
-        timelines[graph.workers[node]].spans.push(OpSpan {
-            op: graph.ops[node],
-            start,
-            end: start + graph.durations[node],
-        });
-    }
 }
 
 /// Assemble the [`IterationReport`] from per-worker timelines.

@@ -511,4 +511,16 @@ mod tests {
             Err(CheckpointError::Corrupt(_))
         ));
     }
+
+    /// A corrupt file that nests far deeper than any real checkpoint is
+    /// rejected as `Corrupt`; it must not overflow the decoder's stack and
+    /// abort the process.
+    #[test]
+    fn deeply_nested_json_is_reported_corrupt_not_a_stack_overflow() {
+        let nested = format!("{{\"version\": 1, \"state\": {}", "[".repeat(100_000));
+        assert!(matches!(
+            Checkpoint::from_json(&nested),
+            Err(CheckpointError::Corrupt(msg)) if msg.contains("recursion limit")
+        ));
+    }
 }

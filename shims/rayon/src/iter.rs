@@ -12,7 +12,7 @@ use std::marker::PhantomData;
 use std::mem::ManuallyDrop;
 use std::ops::Range;
 
-use crate::registry::{current_num_threads, join};
+use crate::parallel_for_index;
 
 /// A finite, index-addressable parallel iterator.
 pub trait ParallelIterator: Send + Sync + Sized {
@@ -185,26 +185,6 @@ impl<'a, T: Sync> ParallelIterator for SliceParIter<'a, T> {
     }
 }
 
-/// Parallel iterator over non-overlapping `&[T]` chunks.
-pub struct ParChunks<'a, T: Sync> {
-    slice: &'a [T],
-    chunk: usize,
-}
-
-impl<'a, T: Sync> ParallelIterator for ParChunks<'a, T> {
-    type Item = &'a [T];
-
-    fn len(&self) -> usize {
-        self.slice.len().div_ceil(self.chunk)
-    }
-
-    unsafe fn produce(&self, index: usize) -> &'a [T] {
-        let start = index * self.chunk;
-        let end = (start + self.chunk).min(self.slice.len());
-        self.slice.get_unchecked(start..end)
-    }
-}
-
 /// Parallel iterator over non-overlapping `&mut [T]` chunks.  Stored as a
 /// raw pointer so each produced chunk is independent; disjointness follows
 /// from the at-most-once index contract.
@@ -341,26 +321,15 @@ impl<'a, T: Sync> IntoParallelIterator for &'a Vec<T> {
     }
 }
 
-/// Parallel views of shared slices (`par_iter`, `par_chunks`).
+/// Parallel views of shared slices (`par_iter`).
 pub trait ParallelSlice<T: Sync> {
     /// Parallel iterator over the elements.
     fn par_iter(&self) -> SliceParIter<'_, T>;
-    /// Parallel iterator over `chunk_size`-sized chunks (last may be
-    /// shorter).
-    fn par_chunks(&self, chunk_size: usize) -> ParChunks<'_, T>;
 }
 
 impl<T: Sync> ParallelSlice<T> for [T] {
     fn par_iter(&self) -> SliceParIter<'_, T> {
         SliceParIter { slice: self }
-    }
-
-    fn par_chunks(&self, chunk_size: usize) -> ParChunks<'_, T> {
-        assert!(chunk_size > 0, "chunk size must be non-zero");
-        ParChunks {
-            slice: self,
-            chunk: chunk_size,
-        }
     }
 }
 
@@ -380,43 +349,6 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
             _marker: PhantomData,
         }
     }
-}
-
-/// Drive `f(0), f(1), ..., f(len - 1)` across the pool by recursive binary
-/// splitting down to a grain of `max(1, len / (threads * 8))` indices.
-pub(crate) fn parallel_for_index<F>(len: usize, f: &F)
-where
-    F: Fn(usize) + Sync,
-{
-    if len == 0 {
-        return;
-    }
-    let threads = current_num_threads();
-    if threads <= 1 || len == 1 {
-        for i in 0..len {
-            f(i);
-        }
-        return;
-    }
-    let grain = (len / (threads * 8)).max(1);
-    split_range(0, len, grain, f);
-}
-
-fn split_range<F>(start: usize, end: usize, grain: usize, f: &F)
-where
-    F: Fn(usize) + Sync,
-{
-    if end - start <= grain {
-        for i in start..end {
-            f(i);
-        }
-        return;
-    }
-    let mid = start + (end - start) / 2;
-    join(
-        || split_range(start, mid, grain, f),
-        || split_range(mid, end, grain, f),
-    );
 }
 
 /// The traits user code imports (`use rayon::prelude::*`).

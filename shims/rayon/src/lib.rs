@@ -1,27 +1,22 @@
-//! A real work-stealing thread pool behind rayon's API surface.
+//! A scoped, index-claiming parallel map behind rayon's API surface.
 //!
-//! Earlier revisions of this shim were a sequential stand-in: the `par_*`
-//! entry points mapped straight onto `std` iterators.  This revision keeps
-//! the exact same call-site surface — `par_iter().map(..).collect()`,
-//! `par_chunks_mut(..).for_each(..)`, `join`, `scope` — but executes it on
-//! a Chase–Lev work-stealing pool built from the deques in the `crossbeam`
-//! shim:
-//!
-//! - one worker thread per configured slot, each owning a LIFO deque that
-//!   other workers steal from FIFO;
-//! - a global FIFO injector for work submitted from non-pool threads;
-//! - `join(a, b)` runs `a` inline and exposes `b` for stealing, and the
-//!   waiting side *works through the queues* instead of blocking, so
-//!   arbitrarily nested joins cannot deadlock;
-//! - parked workers sleep on a generation-counted condvar with a short
-//!   timeout backstop, so an idle pool costs no CPU.
+//! The workspace's parallelism is flat: sweep binaries fan independent
+//! cells across cores with `par_iter().map(..).collect()`, and two sparse
+//! kernels fill disjoint output rows with `par_chunks_mut(..).for_each(..)`.
+//! Every parallel call therefore reduces to one primitive: run `f(i)` for
+//! each `i` in `0..len`.  This shim runs it on the calling thread plus
+//! `threads - 1` helpers spawned in a [`std::thread::scope`]; each
+//! participant claims the next unclaimed index from one shared counter
+//! until the range is exhausted.  The scope joins every helper before the
+//! call returns, so closures may borrow the caller's data.
 //!
 //! # Thread count
 //!
-//! The global pool is sized on first use from, in order: `DYNMO_THREADS`,
-//! `RAYON_NUM_THREADS`, then the host's available parallelism.  A value of
-//! `1` gives fully sequential in-place execution (no worker round-trips).
-//! Tests and benches that need a pinned size build their own pool:
+//! Outside [`ThreadPool::install`], parallel calls use the process default,
+//! read once from, in order: `DYNMO_THREADS`, `RAYON_NUM_THREADS`, then the
+//! host's available parallelism (capped at 1 024).  A value of `1` runs
+//! every call sequentially on the caller.  Tests and benches that need a
+//! pinned size build their own pool:
 //!
 //! ```
 //! let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
@@ -32,11 +27,16 @@
 //! assert_eq!(doubled, vec![2, 4, 6]);
 //! ```
 //!
+//! `install` runs its closure on the calling thread with the pool's thread
+//! count in effect.  While a participant works through a parallel call its
+//! own count is 1, so a `par_*` call nested inside a mapped closure runs
+//! inline instead of spawning threads of its own.
+//!
 //! # Determinism contract
 //!
 //! Every parallel iterator here is *index-addressable*: the element at
 //! index `i` is computed from index `i` alone, and `collect` writes it into
-//! slot `i` of the output.  Work-stealing only changes *when* each index
+//! slot `i` of the output.  The claim order only changes *when* each index
 //! runs, never *where its result lands*, so `map(...).collect()` and
 //! `par_chunks_mut(...).for_each(...)` produce output byte-identical to a
 //! single-threaded run.  The sweep binaries in `crates/bench` rely on this:
@@ -44,43 +44,197 @@
 //!
 //! # Panics
 //!
-//! A panicking task does not hang or poison the pool.  Panics are caught at
-//! the job boundary, carried as payloads, and resumed on the thread that
-//! called `join`/`install`/`scope` once all sibling work has finished (so
-//! borrowed data stays alive exactly as long as with sequential execution).
+//! The first panicking index stops further claims; indices already running
+//! finish.  Once the scope has joined every helper, that panic's original
+//! payload is resumed on the thread that made the parallel call (and from
+//! there reaches the `install` caller).
 
 #![warn(missing_docs)]
 
-mod job;
-mod latch;
-mod primitives;
-mod registry;
+use std::any::Any;
+use std::cell::Cell;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 pub mod iter;
 
-/// Model-checking access to the pool's internal synchronization protocols.
-///
-/// Only compiled under `RUSTFLAGS="--cfg dynmo_loom"`, for the loom suites
-/// in `tests/loom_sleep.rs`: whole-pool model checking would blow up the
-/// interleaving space, so the suites drive the sleep and latch protocols
-/// directly through these re-exports.
-#[cfg(dynmo_loom)]
-pub mod loom_support {
-    pub use crate::latch::{Latch, LockLatch, SpinLatch};
-    pub use crate::registry::Sleep;
+pub use iter::prelude;
+
+/// Hard ceiling on the thread count, guarding against absurd env-var values.
+const MAX_THREADS: usize = 1024;
+
+thread_local! {
+    /// The thread count `par_*` calls on this thread use; `None` means the
+    /// process default.
+    static THREADS: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-pub use iter::prelude;
-pub use registry::{
-    current_num_threads, join, scope, Scope, ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder,
-};
+/// The process default: `DYNMO_THREADS`, then `RAYON_NUM_THREADS`, then the
+/// host's available parallelism.  A value of `0` (or anything unparsable)
+/// falls through to the next source, matching rayon's treatment of
+/// `RAYON_NUM_THREADS=0` as "default".
+fn default_num_threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        ["DYNMO_THREADS", "RAYON_NUM_THREADS"]
+            .iter()
+            .filter_map(|var| std::env::var(var).ok()?.trim().parse::<usize>().ok())
+            .find(|&n| n >= 1)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+            .min(MAX_THREADS)
+    })
+}
+
+/// Number of threads a parallel call made here would use: the enclosing
+/// [`ThreadPool::install`]'s count, 1 inside a running parallel call, and
+/// the process default otherwise.
+pub fn current_num_threads() -> usize {
+    THREADS.get().unwrap_or_else(default_num_threads)
+}
+
+/// Run `op` with this thread's count set to `threads`, restoring the old
+/// value on return and on unwind.
+fn with_threads<R>(threads: usize, op: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            THREADS.set(self.0);
+        }
+    }
+    let _restore = Restore(THREADS.replace(Some(threads)));
+    op()
+}
+
+/// Run `f(0), f(1), ..., f(len - 1)` on the caller plus up to
+/// `current_num_threads() - 1` scoped helpers, each claiming one index at a
+/// time.  Every index runs exactly once unless a panic stops the claims; the
+/// first panic's payload is then resumed here after all helpers have joined.
+pub(crate) fn parallel_for_index<F>(len: usize, f: &F)
+where
+    F: Fn(usize) + Sync,
+{
+    let threads = current_num_threads().min(len);
+    if threads <= 1 {
+        (0..len).for_each(f);
+        return;
+    }
+    let next = AtomicUsize::new(0);
+    let stopped = AtomicBool::new(false);
+    // One participant's share of the work.  Returns the payload of the
+    // panic that stopped the call, if this participant raised it first.
+    let work = || -> Option<Box<dyn Any + Send>> {
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            // ORDERING: `stopped` is only a hint to quit early; the claimed
+            // indices and the panic payload travel through the RMWs below
+            // and the scope join, not through this load.
+            while !stopped.load(Ordering::Relaxed) {
+                // ORDERING: the RMW hands each index to exactly one caller;
+                // results reach the caller through the scope join, which
+                // synchronises with every helper's exit.
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                if index >= len {
+                    break;
+                }
+                f(index);
+            }
+        }));
+        match outcome {
+            Ok(()) => None,
+            // ORDERING: the swap's RMW total order picks exactly one first
+            // panicker; the payload itself is returned through the join.
+            Err(payload) => (!stopped.swap(true, Ordering::Relaxed)).then_some(payload),
+        }
+    };
+    let panicked = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads)
+            .map(|_| scope.spawn(|| with_threads(1, work)))
+            .collect();
+        let mine = with_threads(1, work);
+        helpers.into_iter().fold(mine, |first, helper| {
+            let theirs = helper.join().expect("helper panics are caught");
+            first.or(theirs)
+        })
+    });
+    if let Some(payload) = panicked {
+        panic::resume_unwind(payload);
+    }
+}
+
+/// Error type of [`ThreadPoolBuilder::build`], kept for rayon API
+/// compatibility; building a pool here cannot fail.
+#[derive(Debug)]
+pub struct ThreadPoolBuildError {
+    _private: (),
+}
+
+impl std::fmt::Display for ThreadPoolBuildError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("thread pool construction failed")
+    }
+}
+
+impl std::error::Error for ThreadPoolBuildError {}
+
+/// Builder for an explicitly sized [`ThreadPool`] (rayon-compatible
+/// constructor used by tests and benches to pin thread counts).
+#[derive(Debug, Default, Clone)]
+pub struct ThreadPoolBuilder {
+    num_threads: usize,
+}
+
+impl ThreadPoolBuilder {
+    /// Start building a pool.
+    pub fn new() -> Self {
+        ThreadPoolBuilder::default()
+    }
+
+    /// Set the thread count (`0` = process default, like rayon).
+    pub fn num_threads(mut self, num_threads: usize) -> Self {
+        self.num_threads = num_threads;
+        self
+    }
+
+    /// Build the pool.
+    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
+        let threads = match self.num_threads {
+            0 => default_num_threads(),
+            n => n.min(MAX_THREADS),
+        };
+        Ok(ThreadPool { threads })
+    }
+}
+
+/// A thread count that [`ThreadPool::install`] puts in effect.  Threads
+/// are spawned per parallel call, so a pool holds no threads of its own.
+#[derive(Debug)]
+pub struct ThreadPool {
+    threads: usize,
+}
+
+impl ThreadPool {
+    /// Run `op` on the calling thread with this pool's thread count in
+    /// effect for every parallel call inside it.  The previous count is
+    /// restored when `op` returns or unwinds.
+    pub fn install<OP, R>(&self, op: OP) -> R
+    where
+        OP: FnOnce() -> R + Send,
+        R: Send,
+    {
+        with_threads(self.threads, op)
+    }
+
+    /// Number of threads parallel calls inside [`ThreadPool::install`] use.
+    pub fn current_num_threads(&self) -> usize {
+        self.threads
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
 
     fn pool(n: usize) -> crate::ThreadPool {
         crate::ThreadPoolBuilder::new()
@@ -164,67 +318,87 @@ mod tests {
         assert_eq!(sum, 499_500);
     }
 
+    /// The payload the `install` caller sees is the one the task panicked
+    /// with, not a wrapper, whichever participant ran the index.
     #[test]
-    fn panic_in_join_branch_b_propagates() {
-        let pool = pool(2);
+    fn original_panic_payload_reaches_the_install_caller() {
+        let pool = pool(4);
+        for round in 0..8 {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                pool.install(|| {
+                    (0..64usize).into_par_iter().for_each(|i| {
+                        if i == 40 + round {
+                            panic!("cell {i} failed");
+                        }
+                    })
+                })
+            }));
+            let payload = result.expect_err("panic must reach the install caller");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("the original String payload");
+            assert_eq!(message, &format!("cell {} failed", 40 + round));
+            let squares: Vec<usize> =
+                pool.install(|| (0..10usize).into_par_iter().map(|x| x * x).collect());
+            assert_eq!(squares, (0..10).map(|x| x * x).collect::<Vec<_>>());
+        }
+    }
+
+    /// A `par_iter` nested inside a mapped closure runs inline on whichever
+    /// participant claimed the outer index and gives the sequential result.
+    #[test]
+    fn nested_par_iter_gives_the_sequential_result() {
+        let rows: Vec<Vec<u64>> = (0..16u64)
+            .map(|r| (0..=r).map(|c| r * 100 + c).collect())
+            .collect();
+        let expected: Vec<(u64, usize)> = rows
+            .iter()
+            .map(|row| (row.iter().map(|v| v * 2).sum(), 1))
+            .collect();
+        let nested: Vec<(u64, usize)> = pool(4).install(|| {
+            rows.par_iter()
+                .map(|row| {
+                    let doubled: Vec<u64> = row.par_iter().map(|v| v * 2).collect();
+                    (doubled.into_iter().sum(), crate::current_num_threads())
+                })
+                .collect()
+        });
+        assert_eq!(nested, expected);
+    }
+
+    #[test]
+    fn thread_count_is_restored_after_a_panic_inside_install() {
+        let outer = crate::current_num_threads();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.install(|| crate::join(|| 1 + 1, || -> u32 { panic!("b side") }))
+            pool(3).install(|| {
+                assert_eq!(crate::current_num_threads(), 3);
+                panic!("inside install");
+            })
         }));
         assert!(result.is_err());
-        assert_eq!(pool.install(|| crate::join(|| 2, || 3)), (2, 3));
+        assert_eq!(crate::current_num_threads(), outer);
+        let inner = pool(5).install(|| pool(2).install(crate::current_num_threads));
+        assert_eq!(inner, 2);
+        assert_eq!(crate::current_num_threads(), outer);
     }
 
-    /// Nested joins from inside workers: a worker waiting on a sibling must
-    /// keep executing queued work, or recursion deadlocks the pool.
     #[test]
-    fn nested_joins_compute_fibonacci() {
-        fn fib(n: u64) -> u64 {
-            if n < 2 {
-                return n;
-            }
-            let (a, b) = crate::join(|| fib(n - 1), || fib(n - 2));
-            a + b
-        }
+    fn empty_and_single_element_inputs() {
         let pool = pool(4);
-        assert_eq!(pool.install(|| fib(16)), 987);
-    }
-
-    /// Work-stealing proof: task A blocks until task B sends to it, so the
-    /// test can only finish if another worker steals B while A's worker is
-    /// occupied.  With a broken (non-stealing) pool this times out.
-    #[test]
-    fn steal_unblocks_dependent_tasks() {
-        let pool = pool(2);
-        let (tx, rx) = crossbeam::channel::unbounded::<u32>();
-        pool.install(|| {
-            crate::scope(|s| {
-                s.spawn(move |_| {
-                    let got = rx
-                        .recv_timeout(Duration::from_secs(10))
-                        .expect("B was never stolen/executed");
-                    assert_eq!(got, 11);
-                });
-                s.spawn(move |_| {
-                    tx.send(11).unwrap();
-                });
-            });
+        let empty: Vec<u32> = pool.install(|| Vec::<u32>::new().into_par_iter().collect());
+        assert!(empty.is_empty());
+        let none: Vec<usize> = pool.install(|| (5..5usize).into_par_iter().map(|x| x).collect());
+        assert!(none.is_empty());
+        let one: Vec<String> = pool.install(|| {
+            vec!["x".to_string()]
+                .into_par_iter()
+                .map(|s| s + "!")
+                .collect()
         });
-    }
-
-    #[test]
-    fn scope_spawn_runs_all_tasks() {
-        let pool = pool(4);
-        let counter = AtomicUsize::new(0);
-        pool.install(|| {
-            crate::scope(|s| {
-                for _ in 0..100 {
-                    s.spawn(|_| {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-            });
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 100);
+        assert_eq!(one, vec!["x!"]);
+        let mut single = [7u8];
+        pool.install(|| single.par_chunks_mut(4).for_each(|c| c[0] += 1));
+        assert_eq!(single, [8]);
     }
 
     /// Stress-loop for the deque steal race: many rounds of fine-grained

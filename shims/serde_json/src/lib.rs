@@ -25,11 +25,18 @@ pub fn from_str<T: for<'de> Deserialize<'de>>(text: &str) -> Result<T, Error> {
     T::from_value(&value).map_err(|e| Error(e.to_string()))
 }
 
+/// Deepest array/object nesting [`parse_value`] accepts (the limit real
+/// `serde_json` uses).  Deeper input is rejected with an `Err` instead of
+/// recursing until the stack overflows.
+const MAX_DEPTH: usize = 128;
+
 /// Parse JSON text into the serde shim's [`Value`] tree.
 pub fn parse_value(text: &str) -> Result<Value, Error> {
     let mut parser = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_whitespace();
     let value = parser.parse()?;
@@ -41,8 +48,11 @@ pub fn parse_value(text: &str) -> Result<Value, Error> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -85,11 +95,22 @@ impl Parser<'_> {
             Some(b't') if self.consume_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.consume_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object, one nesting level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value, Error> {
@@ -148,59 +169,55 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(c) = self.peek() else {
+            // Copy the run of plain characters up to the next `"` or `\`.
+            // Both are ASCII, so the run ends on a char boundary.
+            let Some(run) = self.bytes[self.pos..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\')
+            else {
+                self.pos = self.bytes.len();
                 return Err(self.error("unterminated string"));
             };
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = self.peek() else {
+                return Err(self.error("unterminated escape"));
+            };
             self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.error("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let first = self.parse_hex4()?;
-                            let scalar = if (0xD800..0xDC00).contains(&first) {
-                                // High surrogate: a \uXXXX low surrogate must
-                                // follow to form one supplementary character.
-                                if !self.consume_literal("\\u") {
-                                    return Err(self.error("unpaired surrogate"));
-                                }
-                                let low = self.parse_hex4()?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err(self.error("invalid low surrogate"));
-                                }
-                                0x10000 + ((first - 0xD800) << 10) + (low - 0xDC00)
-                            } else {
-                                first
-                            };
-                            match char::from_u32(scalar) {
-                                Some(ch) => out.push(ch),
-                                None => return Err(self.error("invalid unicode escape")),
-                            }
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000C}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let first = self.parse_hex4()?;
+                    let scalar = if (0xD800..0xDC00).contains(&first) {
+                        // High surrogate: a \uXXXX low surrogate must
+                        // follow to form one supplementary character.
+                        if !self.consume_literal("\\u") {
+                            return Err(self.error("unpaired surrogate"));
                         }
-                        _ => return Err(self.error("invalid escape character")),
+                        let low = self.parse_hex4()?;
+                        if !(0xDC00..0xE000).contains(&low) {
+                            return Err(self.error("invalid low surrogate"));
+                        }
+                        0x10000 + ((first - 0xD800) << 10) + (low - 0xDC00)
+                    } else {
+                        first
+                    };
+                    match char::from_u32(scalar) {
+                        Some(ch) => out.push(ch),
+                        None => return Err(self.error("invalid unicode escape")),
                     }
                 }
-                _ => {
-                    // Re-decode the UTF-8 sequence starting at this byte.
-                    let start = self.pos - 1;
-                    let text = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.error("invalid utf-8"))?;
-                    let ch = text.chars().next().unwrap();
-                    self.pos = start + ch.len_utf8();
-                    out.push(ch);
-                }
+                _ => return Err(self.error("invalid escape character")),
             }
         }
     }
@@ -424,6 +441,42 @@ mod tests {
         for bad in ["", "[1,", "{\"a\"}", "nul", "\"open", "1 2", "[1] x"] {
             assert!(parse_value(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    /// A 16 MiB string parses in milliseconds because string parsing is
+    /// linear in the input; re-validating the rest of the document per
+    /// character made it quadratic (hours at this size).  The parse runs on
+    /// a helper thread so a regression fails after a minute instead of
+    /// hanging the suite.
+    #[test]
+    fn parses_a_16_mib_string_in_linear_time() {
+        let unit = "plain ascii, \\u00e9, é, 😀 and \\\"escapes\\\" ";
+        let decoded = "plain ascii, é, é, 😀 and \"escapes\" ";
+        let reps = (16 << 20) / unit.len() + 1;
+        let text = format!("\"{}\"", unit.repeat(reps));
+        assert!(text.len() >= 16 << 20);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let parser = std::thread::spawn(move || {
+            let _ = tx.send(parse_value(&text).map_err(|e| e.to_string()));
+        });
+        let parsed = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a 16 MiB string must parse well within a minute");
+        parser.join().expect("the parser thread sent its result");
+        assert_eq!(parsed.unwrap(), Value::Str(decoded.repeat(reps)));
+    }
+
+    #[test]
+    fn nesting_beyond_the_depth_limit_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        let err = parse_value(&deep).expect_err("100 000 open arrays must be rejected");
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        let objects = "{\"a\":".repeat(100_000);
+        assert!(parse_value(&objects).is_err());
+
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_value(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse_value(&nested(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

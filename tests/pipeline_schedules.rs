@@ -165,94 +165,3 @@ fn deeper_interleaving_keeps_shrinking_the_bubble() {
     assert!(b2 < b1, "v=2 bubble {b2} vs v=1 {b1}");
     assert!(b4 < b2, "v=4 bubble {b4} vs v=2 {b2}");
 }
-
-// ---------------------------------------------------------------------------
-// Sharded wavefront engine: bit-identical twin of the sequential Kahn engine.
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The sharded wavefront engine (forced via `with_shard_threshold(0)`
-    /// under a multi-thread pool) reproduces the sequential Kahn engine's
-    /// full `IterationReport` exactly — every span bit, every busy/idle
-    /// value — across random loads, schedules, and micro-batch counts.
-    #[test]
-    fn sharded_engine_is_bit_identical_to_sequential(
-        fwd_times in prop::collection::vec(0.001f64..2.0, 2..10),
-        boundary_scales in prop::collection::vec(0.05f64..2.0, 10..11),
-        microbatches in 1usize..20,
-        gpus_per_node in 1usize..5,
-        schedule_pick in 0usize..4,
-    ) {
-        let model = ModelConfig::gpt(24);
-        let loads = stage_loads(&fwd_times, &boundary_scales[..fwd_times.len()]);
-        let schedule = match schedule_pick {
-            0 => ScheduleKind::GPipe,
-            1 => ScheduleKind::OneFOneB,
-            2 => ScheduleKind::Interleaved1F1B { virtual_stages: 2 },
-            _ => ScheduleKind::ZeroBubbleH1,
-        };
-        let sim = PipelineSimulator::new(
-            CommCostModel::new(cluster(loads.len(), gpus_per_node)),
-            schedule,
-        );
-        let sequential = sim.simulate(&model, &loads, microbatches);
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let sharded = pool.install(|| {
-            sim.clone()
-                .with_shard_threshold(0)
-                .simulate(&model, &loads, microbatches)
-        });
-        prop_assert_eq!(&sharded, &sequential);
-    }
-
-    /// Same pin for the forward-only (inference) pass.
-    #[test]
-    fn sharded_forward_pass_is_bit_identical_to_sequential(
-        fwd_times in prop::collection::vec(0.001f64..2.0, 2..10),
-        microbatches in 1usize..24,
-    ) {
-        let model = ModelConfig::gpt(24);
-        let scales = vec![1.0; fwd_times.len()];
-        let loads = stage_loads(&fwd_times, &scales);
-        let sim = PipelineSimulator::new(
-            CommCostModel::new(cluster(loads.len(), 2)),
-            ScheduleKind::OneFOneB,
-        );
-        let sequential = sim.simulate_forward(&model, &loads, microbatches);
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let sharded = pool.install(|| {
-            sim.clone()
-                .with_shard_threshold(0)
-                .simulate_forward(&model, &loads, microbatches)
-        });
-        prop_assert_eq!(&sharded, &sequential);
-    }
-}
-
-/// One deep pin at genuinely large scale: p = 128 stages × m = 1024
-/// micro-batches (393k graph nodes under 1F1B) — the regime the sharded
-/// engine exists for — must agree with the sequential engine exactly.
-#[test]
-fn sharded_engine_matches_sequential_at_very_large_scale() {
-    let model = ModelConfig::gpt(24);
-    let p = 128;
-    let m = 1024;
-    let fwd_times: Vec<f64> = (0..p).map(|i| 0.5 + 0.01 * (i % 7) as f64).collect();
-    let scales = vec![1.0; p];
-    let loads = stage_loads(&fwd_times, &scales);
-    let sim = PipelineSimulator::new(CommCostModel::new(cluster(p, 8)), ScheduleKind::OneFOneB);
-    let sequential = sim
-        .clone()
-        .with_shard_threshold(usize::MAX)
-        .simulate(&model, &loads, m);
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(4)
-        .build()
-        .unwrap();
-    // 3·p·m = 393_216 nodes ≥ the default threshold, so the default-config
-    // simulator also takes the sharded path here — assert both routes.
-    let sharded = pool.install(|| sim.simulate(&model, &loads, m));
-    assert_eq!(sharded, sequential);
-}
