@@ -1,13 +1,11 @@
-//! Criterion bench pinning the event-driven pipeline simulator against the
-//! legacy busy-poll reference at paper scale (`p = 32`, `m = 512` — the
-//! largest grid corner of `pipeline_sweep`).  The event engine's
-//! `O(n + e)` bound (Kahn relaxation over a CSR DAG) is what keeps
-//! paper-scale sweeps cheap and is what this bench regression-guards;
-//! running both engines on the identical input keeps the comparison
-//! honest — the reference loop's simple arrays make it fast on friendly
-//! schedules, while the engine's bound holds on every schedule (the
-//! reference rescans, so adversarial dependency patterns and the
-//! interleaved/zero-bubble schedules are engine-only).
+//! Criterion bench of the pipeline simulator at paper scale (`p = 32`,
+//! `m = 512` — the largest grid corner of `pipeline_sweep`) for every
+//! schedule in [`ScheduleKind::ALL`], plus one forward-only pass at a
+//! serving shape (`p = 8`, `m = 16`).  The engine walks each worker's op
+//! order with a cursor and starts an op once its `(vs ± 1, mb)` producers
+//! have run, so its cost is linear in the op count; this bench keeps that
+//! cost visible for the training schedules and for the forward-only mode
+//! the serving engine prices every step with.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dynmo_model::{ClusterConfig, DeviceSpec, ModelConfig};
@@ -16,13 +14,15 @@ use dynmo_pipeline::{CommCostModel, PipelineSimulator, ScheduleKind};
 
 const PAPER_STAGES: usize = 32;
 const PAPER_MICROBATCHES: usize = 512;
+const SERVING_STAGES: usize = 8;
+const SERVING_MICROBATCHES: usize = 16;
 
-fn paper_scale_loads() -> Vec<StageLoad> {
-    (0..PAPER_STAGES)
+fn skewed_loads(stages: usize) -> Vec<StageLoad> {
+    (0..stages)
         .map(|s| {
-            // Mild imbalance so the engines exercise real dependency
+            // Mild imbalance so the engine exercises real dependency
             // stalls, not the degenerate balanced fast path.
-            let skew = 1.0 + 0.3 * (s as f64 / (PAPER_STAGES - 1) as f64);
+            let skew = 1.0 + 0.3 * (s as f64 / (stages - 1) as f64);
             StageLoad {
                 fwd_time: 2.0e-3 * skew,
                 bwd_time: 4.0e-3 * skew,
@@ -39,40 +39,31 @@ fn paper_scale_loads() -> Vec<StageLoad> {
 fn bench_event_engine(c: &mut Criterion) {
     let model = ModelConfig::gpt(32);
     let cluster = ClusterConfig::homogeneous(8, PAPER_STAGES, 1, DeviceSpec::h100_sxm5());
-    let loads = paper_scale_loads();
+    let loads = skewed_loads(PAPER_STAGES);
     let mut group = c.benchmark_group("pipeline_simulate_p32_m512");
-    for schedule in [ScheduleKind::GPipe, ScheduleKind::OneFOneB] {
+    for schedule in ScheduleKind::ALL {
         let simulator = PipelineSimulator::new(CommCostModel::new(cluster.clone()), schedule);
         group.bench_with_input(
-            BenchmarkId::new("event_engine", schedule.label()),
-            &loads,
-            |b, loads| {
-                b.iter(|| simulator.simulate(&model, loads, PAPER_MICROBATCHES));
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("reference", schedule.label()),
-            &loads,
-            |b, loads| {
-                b.iter(|| simulator.simulate_reference(&model, loads, PAPER_MICROBATCHES));
-            },
-        );
-    }
-    // The advanced schedules only exist on the event engine; keep their
-    // paper-scale cost visible alongside.
-    for schedule in [
-        ScheduleKind::Interleaved1F1B { virtual_stages: 2 },
-        ScheduleKind::ZeroBubbleH1,
-    ] {
-        let simulator = PipelineSimulator::new(CommCostModel::new(cluster.clone()), schedule);
-        group.bench_with_input(
-            BenchmarkId::new("event_engine", schedule.label()),
+            BenchmarkId::new("simulate", schedule.label()),
             &loads,
             |b, loads| {
                 b.iter(|| simulator.simulate(&model, loads, PAPER_MICROBATCHES));
             },
         );
     }
+    group.finish();
+
+    let cluster = ClusterConfig::homogeneous(8, SERVING_STAGES, 1, DeviceSpec::h100_sxm5());
+    let loads = skewed_loads(SERVING_STAGES);
+    let simulator = PipelineSimulator::new(CommCostModel::new(cluster), ScheduleKind::OneFOneB);
+    let mut group = c.benchmark_group("pipeline_simulate_forward_p8_m16");
+    group.bench_with_input(
+        BenchmarkId::new("simulate_forward", "serving"),
+        &loads,
+        |b, loads| {
+            b.iter(|| simulator.simulate_forward(&model, loads, SERVING_MICROBATCHES));
+        },
+    );
     group.finish();
 }
 

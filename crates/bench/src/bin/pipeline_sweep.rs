@@ -1,7 +1,7 @@
 //! Pipeline-schedule sweep — the bubble/idleness landscape behind Figure 1.
 //!
 //! Fans a `(schedule × stages × micro-batches × imbalance)` grid across
-//! threads (rayon) through the event-driven pipeline simulator and writes
+//! threads (rayon) through the pipeline simulator and writes
 //! one JSON artifact (`results/pipeline_sweep.json`) covering GPipe, 1F1B,
 //! interleaved 1F1B, and ZB-H1.  Run with `--scale {smoke|default|paper}`;
 //! the paper scale reaches the `p = 32, m = 512` corner of the grid.

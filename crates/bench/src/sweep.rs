@@ -1,6 +1,6 @@
 //! Parallel pipeline-schedule sweeps.
 //!
-//! The event-driven simulator makes large `(schedule × stages ×
+//! The linear-time pipeline simulator makes large `(schedule × stages ×
 //! micro-batches × imbalance)` grids cheap; this module fans such a grid
 //! across threads with rayon and collects one flat JSON artifact
 //! (`results/pipeline_sweep.json`) covering all four schedules, so the

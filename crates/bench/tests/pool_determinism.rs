@@ -1,4 +1,4 @@
-//! The artifact-determinism contract of the work-stealing pool.
+//! The artifact-determinism contract of the scoped parallel map.
 //!
 //! Every sweep fans its grid across rayon and writes the rows to a JSON
 //! artifact.  Those artifacts must not depend on the machine's core count:

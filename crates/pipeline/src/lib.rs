@@ -14,12 +14,12 @@
 //!   interleaved 1F1B (virtual stages), and a ZB-H1-style zero-bubble
 //!   schedule with split backward (the "almost zero-bubble" baseline of
 //!   the paper's Figure 1).
-//! * [`simulator`] — an event-driven engine (Kahn topological relaxation
-//!   over a CSR dependency DAG, `O(n + e)`) that tracks, for every worker,
-//!   when each op can start given activation/gradient dependencies and
-//!   communication latencies, bypasses stages released by re-packing,
-//!   supports a forward-only inference mode for the serving engine, and
-//!   reports makespan, per-worker idleness and the bubble ratio.
+//! * [`simulator`] — one loop over per-worker op cursors, linear in the
+//!   op count, that starts each op once its activation/gradient producers
+//!   have run and their communication latencies have elapsed, bypasses
+//!   stages released by re-packing, supports a forward-only inference mode
+//!   for the serving engine, and reports makespan, per-worker idleness and
+//!   the bubble ratio.
 //! * [`comm`] — an α–β communication model for per-boundary activation and
 //!   gradient hand-offs, locality-aware gradient all-reduce, MoE
 //!   all-to-all, and layer migration.

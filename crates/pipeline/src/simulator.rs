@@ -1,4 +1,4 @@
-//! Event-driven simulation of one pipeline-parallel training iteration.
+//! Simulation of one pipeline-parallel iteration.
 //!
 //! Given per-stage compute times (from the profiler / cost model), the
 //! simulator replays the chosen micro-batch schedule while honoring:
@@ -14,18 +14,15 @@
 //!   exchange tensors over a single direct link, matching the paper's
 //!   post-repack topology.
 //!
-//! The engine is a topological relaxation over the typed dependency DAG:
-//! every op counts its unmet predecessors (previous op on the same worker,
-//! activation producer, gradient producer, input-gradient half), and each
-//! completed op relaxes its successors' ready times and schedules any op
-//! whose last dependency just resolved.  A worker's in-order execution is
-//! itself an edge chain, so no time-ordered queue is needed at all —
-//! start times are pure longest paths, and Kahn's algorithm over the CSR
-//! edge array visits each op and edge exactly once: `O(n + e)` in the op
-//! count with no comparisons, down from the binary-heap event queue's
-//! `O(n log n)` and far below the legacy rescan loop (kept as
-//! [`PipelineSimulator::simulate_reference`]), which rescanned every
-//! worker's queue after each scheduling round.
+//! Every schedule is a fixed op order per worker whose only cross-worker
+//! dependencies are the `(vs ± 1, mb)` producers of the same micro-batch,
+//! so the engine is one loop over per-worker cursors: it sweeps the
+//! workers round-robin, and each worker runs ops in order until one waits
+//! on a producer that has not run yet.  An op starts at the later of its
+//! worker's previous end and `producer end + edge cost` over its
+//! producers.  All of those times are non-negative and `max` does not care
+//! about order, so a start time is the op's longest path through the
+//! dependency graph whatever order the sweep visits it in.
 //!
 //! The output is the iteration makespan plus per-worker busy/idle time — the
 //! quantities behind the paper's Figure 1 (idleness), Figure 3 (throughput)
@@ -43,72 +40,6 @@ use crate::schedule::{worker_op_order, Op, OpKind, ScheduleKind};
 pub struct PipelineSimulator {
     comm: CommCostModel,
     schedule: ScheduleKind,
-}
-
-/// The dependency DAG of one iteration: per-node op metadata plus typed
-/// edges with communication weights.  Edges are stored in CSR form (one
-/// flat array indexed by per-node offsets) — the per-node `Vec<Vec<_>>`
-/// layout this replaced dominated the engine's runtime at paper scale
-/// through allocator traffic.
-struct OpGraph {
-    /// The op behind each node.
-    ops: Vec<Op>,
-    /// Physical worker (stage index in the caller's layout) of each node.
-    workers: Vec<usize>,
-    /// Execution time of each node.
-    durations: Vec<f64>,
-    /// Node `i`'s outgoing edges are `edges[edge_offsets[i]..edge_offsets[i + 1]]`.
-    edge_offsets: Vec<usize>,
-    /// Outgoing edges: `(successor, edge weight)`, grouped by source node.
-    edges: Vec<(usize, f64)>,
-    /// Unmet predecessor count per node.
-    preds: Vec<usize>,
-}
-
-impl OpGraph {
-    /// Assemble a graph from an unordered edge list via a counting sort on
-    /// the source node (stable, so per-node edge order follows insertion
-    /// order).
-    fn from_edge_list(
-        ops: Vec<Op>,
-        workers: Vec<usize>,
-        durations: Vec<f64>,
-        edge_list: &[(usize, usize, f64)],
-    ) -> Self {
-        let n = ops.len();
-        let mut preds = vec![0usize; n];
-        let mut counts = vec![0usize; n];
-        for &(from, to, _) in edge_list {
-            counts[from] += 1;
-            preds[to] += 1;
-        }
-        let mut edge_offsets = Vec::with_capacity(n + 1);
-        let mut total = 0usize;
-        edge_offsets.push(0);
-        for &count in &counts {
-            total += count;
-            edge_offsets.push(total);
-        }
-        let mut cursor = edge_offsets[..n].to_vec();
-        let mut edges = vec![(0usize, 0.0f64); total];
-        for &(from, to, weight) in edge_list {
-            edges[cursor[from]] = (to, weight);
-            cursor[from] += 1;
-        }
-        OpGraph {
-            ops,
-            workers,
-            durations,
-            edge_offsets,
-            edges,
-            preds,
-        }
-    }
-
-    /// Node `i`'s outgoing edges.
-    fn succs(&self, node: usize) -> &[(usize, f64)] {
-        &self.edges[self.edge_offsets[node]..self.edge_offsets[node + 1]]
-    }
 }
 
 impl PipelineSimulator {
@@ -135,23 +66,7 @@ impl PipelineSimulator {
         stage_loads: &[StageLoad],
         num_microbatches: usize,
     ) -> IterationReport {
-        let p = stage_loads.len();
-        assert!(p > 0, "at least one pipeline stage is required");
-        assert!(num_microbatches > 0, "at least one micro-batch is required");
-        let m = num_microbatches;
-
-        // Released (empty) stages take no part in the schedule: the
-        // pipeline is compressed to its non-empty stages and each skipped
-        // boundary becomes one direct link between the real neighbours.
-        let real: Vec<usize> = (0..p).filter(|&s| !stage_loads[s].is_empty()).collect();
-        let mut timelines: Vec<WorkerTimeline> = vec![WorkerTimeline::default(); p];
-        if real.is_empty() {
-            return finish_report(stage_loads, timelines);
-        }
-
-        let graph = self.build_graph(model, stage_loads, &real, m);
-        execute_graph(&graph, &mut timelines);
-        finish_report(stage_loads, timelines)
+        self.run(model, stage_loads, num_microbatches, false)
     }
 
     /// Simulate one *forward-only* pass of `num_microbatches` micro-batches
@@ -171,150 +86,59 @@ impl PipelineSimulator {
         stage_loads: &[StageLoad],
         num_microbatches: usize,
     ) -> IterationReport {
+        self.run(model, stage_loads, num_microbatches, true)
+    }
+
+    /// The engine behind both entry points.  Released stages are dropped,
+    /// leaving the compressed pipeline `real` of `q` workers; virtual stage
+    /// `vs = chunk·q + i` is chunk `chunk` on compressed worker `i`.
+    /// Forward-only runs `m` forwards per worker with one chunk.
+    fn run(
+        &self,
+        model: &ModelConfig,
+        stage_loads: &[StageLoad],
+        m: usize,
+        forward_only: bool,
+    ) -> IterationReport {
         let p = stage_loads.len();
         assert!(p > 0, "at least one pipeline stage is required");
-        assert!(num_microbatches > 0, "at least one micro-batch is required");
-        let m = num_microbatches;
+        assert!(m > 0, "at least one micro-batch is required");
 
+        // Released (empty) stages take no part in the schedule: the
+        // pipeline is compressed to its non-empty stages and each skipped
+        // boundary becomes one direct link between the real neighbours.
         let real: Vec<usize> = (0..p).filter(|&s| !stage_loads[s].is_empty()).collect();
         let mut timelines: Vec<WorkerTimeline> = vec![WorkerTimeline::default(); p];
         if real.is_empty() {
             return finish_report(stage_loads, timelines);
         }
-
-        let graph = self.build_forward_graph(model, stage_loads, &real, m);
-        execute_graph(&graph, &mut timelines);
-        finish_report(stage_loads, timelines)
-    }
-
-    /// Build the forward-only dependency DAG for the compressed pipeline
-    /// `real`: per worker, `m` forward ops in micro-batch order, chained
-    /// in-order on the worker and to the previous stage's forward of the
-    /// same micro-batch across each boundary.
-    fn build_forward_graph(
-        &self,
-        model: &ModelConfig,
-        stage_loads: &[StageLoad],
-        real: &[usize],
-        m: usize,
-    ) -> OpGraph {
         let q = real.len();
-        let n = q * m;
-        let mut ops = Vec::with_capacity(n);
-        let mut workers = Vec::with_capacity(n);
-        let mut durations = Vec::with_capacity(n);
-        let mut edge_list: Vec<(usize, usize, f64)> = Vec::with_capacity(2 * n);
-        for (i, &stage) in real.iter().enumerate() {
-            let load = &stage_loads[stage];
-            assert!(
-                load.fwd_time.is_finite() && load.fwd_time >= 0.0,
-                "op duration must be finite and non-negative"
-            );
-            // One α–β evaluation per boundary, not per micro-batch (the
-            // same hoist build_graph applies).
-            let fwd_weight = if i > 0 {
-                self.comm.boundary_transfer_time(
-                    model,
-                    &stage_loads[real[i - 1]],
-                    real[i - 1],
-                    stage,
-                )
-            } else {
-                0.0
-            };
-            for mb in 0..m {
-                let id = i * m + mb;
-                ops.push(Op {
+        let (v, orders): (usize, Vec<Vec<Op>>) = if forward_only {
+            let forwards: Vec<Op> = (0..m)
+                .map(|microbatch| Op {
                     kind: OpKind::Forward,
-                    microbatch: mb,
+                    microbatch,
                     chunk: 0,
-                });
-                workers.push(stage);
-                durations.push(load.fwd_time);
-                if mb > 0 {
-                    // In-order execution on the worker.
-                    edge_list.push((id - 1, id, 0.0));
-                }
-                if i > 0 {
-                    // Activation from the previous real stage, sized by its
-                    // sender's boundary tensor.
-                    edge_list.push(((i - 1) * m + mb, id, fwd_weight));
-                }
-            }
-        }
-        OpGraph::from_edge_list(ops, workers, durations, &edge_list)
-    }
-
-    /// Build the typed dependency DAG for the compressed pipeline `real`
-    /// (indices into `stage_loads`) under the configured schedule.
-    fn build_graph(
-        &self,
-        model: &ModelConfig,
-        stage_loads: &[StageLoad],
-        real: &[usize],
-        m: usize,
-    ) -> OpGraph {
-        let q = real.len();
-        let v = self.schedule.effective_virtual_stages(q, m);
+                })
+                .collect();
+            (1, vec![forwards; q])
+        } else {
+            let orders = (0..q)
+                .map(|i| worker_op_order(self.schedule, i, q, m))
+                .collect();
+            (self.schedule.effective_virtual_stages(q, m), orders)
+        };
         let total_vs = q * v;
-        let orders: Vec<Vec<Op>> = (0..q)
-            .map(|i| worker_op_order(self.schedule, i, q, m))
-            .collect();
-        let mut offsets = Vec::with_capacity(q);
-        let mut n = 0usize;
-        for order in &orders {
-            offsets.push(n);
-            n += order.len();
-        }
-
-        // Producer lookup: node of the forward, and of the input-gradient
-        // producer (fused backward or BackwardInput), per virtual stage and
-        // micro-batch.  Virtual stage of chunk `c` on compressed worker `i`
-        // is `c·q + i`.
-        let mut fwd_node = vec![usize::MAX; total_vs * m];
-        let mut grad_node = vec![usize::MAX; total_vs * m];
-        let mut ops = Vec::with_capacity(n);
-        let mut workers = Vec::with_capacity(n);
-        let mut durations = Vec::with_capacity(n);
-        for (i, order) in orders.iter().enumerate() {
-            let load = &stage_loads[real[i]];
-            for (k, op) in order.iter().enumerate() {
-                let id = offsets[i] + k;
-                let vs = op.chunk * q + i;
-                match op.kind {
-                    OpKind::Forward => fwd_node[vs * m + op.microbatch] = id,
-                    OpKind::Backward | OpKind::BackwardInput => {
-                        grad_node[vs * m + op.microbatch] = id
-                    }
-                    OpKind::BackwardWeight => {}
-                }
-                ops.push(*op);
-                workers.push(real[i]);
-                // Interleaving splits a worker's layers evenly across its
-                // `v` chunks, so each chunk costs `1/v` of the stage.
-                let duration = match op.kind {
-                    OpKind::Forward => load.fwd_time,
-                    OpKind::Backward => load.bwd_time,
-                    OpKind::BackwardInput => load.bwd_input_time(),
-                    OpKind::BackwardWeight => load.bwd_weight_time(),
-                } / v as f64;
-                assert!(
-                    duration.is_finite() && duration >= 0.0,
-                    "op duration must be finite and non-negative"
-                );
-                durations.push(duration);
-            }
-        }
 
         // Per-boundary communication weights, hoisted out of the per-op
         // loop: a boundary's α–β cost is the same for every micro-batch
-        // crossing it, and pricing it 2·m times dominated graph building
-        // at paper scale.  `fwd_weight[vs]` prices the activation edge
-        // into virtual stage `vs` from `vs − 1`; `grad_weight[vs]` prices
-        // the input-gradient edge into `vs` from `vs + 1` (crossing the
-        // boundary whose forward tensor `vs` produced).
+        // crossing it.  `fwd_weight[vs]` prices the activation into virtual
+        // stage `vs` from `vs − 1`; `grad_weight[vs]` prices the input
+        // gradient into `vs` from `vs + 1` (crossing the boundary whose
+        // forward tensor `vs` produced).  Chunks adjacent on one worker
+        // hand off for free.
         let mut fwd_weight = vec![0.0f64; total_vs];
-        let mut grad_weight = vec![0.0f64; total_vs];
+        let mut grad_weight = vec![0.0f64; if forward_only { 0 } else { total_vs }];
         for vs in 0..total_vs {
             let i = vs % q;
             if vs > 0 {
@@ -328,7 +152,7 @@ impl PipelineSimulator {
                     );
                 }
             }
-            if vs + 1 < total_vs {
+            if !forward_only && vs + 1 < total_vs {
                 let next = (vs + 1) % q;
                 if next != i {
                     grad_weight[vs] = self.comm.gradient_transfer_time(
@@ -340,204 +164,89 @@ impl PipelineSimulator {
                 }
             }
         }
+        // `max` ignores NaN and a negative cost would let a consumer start
+        // before its producer ends, so either would silently break a
+        // dependency; `+inf` (a dead link) stays legal.
+        assert!(
+            fwd_weight.iter().chain(&grad_weight).all(|&w| w >= 0.0),
+            "edge communication time must be non-negative"
+        );
 
-        let mut edge_list: Vec<(usize, usize, f64)> = Vec::with_capacity(3 * n);
-        let mut add_edge = |from: usize, to: usize, weight: f64| {
-            edge_list.push((from, to, weight));
-        };
+        // End time of the forward, and of the input-gradient producer
+        // (fused backward or BackwardInput), of each `(vs, mb)` at
+        // `vs·m + mb`; NaN until that op has run.
+        let mut fwd_end = vec![f64::NAN; total_vs * m];
+        let mut grad_end = vec![f64::NAN; if forward_only { 0 } else { total_vs * m }];
         for (i, order) in orders.iter().enumerate() {
-            for (k, op) in order.iter().enumerate() {
-                let id = offsets[i] + k;
-                // In-order execution on the worker.
-                if k > 0 {
-                    add_edge(id - 1, id, 0.0);
-                }
-                let vs = op.chunk * q + i;
-                match op.kind {
-                    OpKind::Forward => {
-                        if vs > 0 {
-                            // Activation from the previous virtual stage;
-                            // the boundary tensor is sized by its sender.
-                            add_edge(fwd_node[(vs - 1) * m + op.microbatch], id, fwd_weight[vs]);
-                        }
-                    }
-                    OpKind::Backward | OpKind::BackwardInput => {
-                        // The worker's own forward of this micro-batch.
-                        add_edge(fwd_node[vs * m + op.microbatch], id, 0.0);
-                        if vs + 1 < total_vs {
-                            // Input gradient from the next virtual stage.
-                            add_edge(grad_node[(vs + 1) * m + op.microbatch], id, grad_weight[vs]);
-                        }
-                    }
-                    OpKind::BackwardWeight => {
-                        // Local: only after the matching input-gradient op.
-                        add_edge(grad_node[vs * m + op.microbatch], id, 0.0);
-                    }
-                }
-            }
+            timelines[real[i]].spans.reserve_exact(order.len());
         }
-
-        OpGraph::from_edge_list(ops, workers, durations, &edge_list)
-    }
-
-    /// The legacy busy-poll simulator, kept as a bit-for-bit oracle for the
-    /// event-driven engine (see `tests/pipeline_schedules.rs`): it rescans
-    /// every worker's op queue after each scheduling round — `O(p·ops)`
-    /// per sweep — with NaN sentinels for unmet dependencies.  Supports the
-    /// schedules the legacy loop knew ([`ScheduleKind::GPipe`] and
-    /// [`ScheduleKind::OneFOneB`]) over fully non-empty stage loads, at the
-    /// fixed communication semantics (per-boundary activation sizing on the
-    /// forward path, [`CommCostModel::gradient_transfer_time`] on the
-    /// backward path).
-    ///
-    /// # Panics
-    ///
-    /// On interleaved or split-backward schedules, and on empty stages —
-    /// both are features of the event-driven engine only.
-    pub fn simulate_reference(
-        &self,
-        model: &ModelConfig,
-        stage_loads: &[StageLoad],
-        num_microbatches: usize,
-    ) -> IterationReport {
-        assert!(
-            matches!(self.schedule, ScheduleKind::GPipe | ScheduleKind::OneFOneB),
-            "the reference simulator only supports GPipe and 1F1B"
-        );
-        assert!(
-            stage_loads.iter().all(|l| !l.is_empty()),
-            "the reference simulator does not model empty-stage bypass"
-        );
-        let p = stage_loads.len();
-        assert!(p > 0, "at least one pipeline stage is required");
-        assert!(num_microbatches > 0, "at least one micro-batch is required");
-        let m = num_microbatches;
-
-        let orders: Vec<Vec<Op>> = (0..p)
-            .map(|s| worker_op_order(self.schedule, s, p, m))
-            .collect();
-
-        let mut fwd_finish = vec![vec![f64::NAN; m]; p];
-        let mut bwd_finish = vec![vec![f64::NAN; m]; p];
-        let mut worker_time = vec![0.0f64; p];
-        let mut next_idx = vec![0usize; p];
-        let mut timelines: Vec<WorkerTimeline> = vec![WorkerTimeline::default(); p];
-        let total_ops = 2 * m * p;
+        let total: usize = orders.iter().map(Vec::len).sum();
         let mut scheduled = 0usize;
-
-        while scheduled < total_ops {
-            let mut progressed = false;
-            for s in 0..p {
-                while next_idx[s] < orders[s].len() {
-                    let op = orders[s][next_idx[s]];
+        while scheduled < total {
+            let before = scheduled;
+            for (i, order) in orders.iter().enumerate() {
+                let load = &stage_loads[real[i]];
+                // The worker's spans so far are its cursor into `order`,
+                // and the last one's end is when it frees up.
+                let spans = &mut timelines[real[i]].spans;
+                let mut worker_end = spans.last().map_or(0.0, |s| s.end);
+                for &op in &order[spans.len()..] {
+                    let vs = op.chunk * q + i;
+                    let slot = vs * m + op.microbatch;
+                    // Latest arrival over the op's producers; NaN while
+                    // any of them has yet to run.
                     let ready = match op.kind {
-                        OpKind::Forward => {
-                            if s == 0 {
-                                Some(0.0)
+                        OpKind::Forward if vs == 0 => 0.0,
+                        OpKind::Forward => fwd_end[slot - m] + fwd_weight[vs],
+                        OpKind::Backward | OpKind::BackwardInput if vs + 1 < total_vs => {
+                            let own = fwd_end[slot];
+                            let grad = grad_end[slot + m] + grad_weight[vs];
+                            if own.is_nan() || grad.is_nan() {
+                                f64::NAN
                             } else {
-                                let dep = fwd_finish[s - 1][op.microbatch];
-                                if dep.is_nan() {
-                                    None
-                                } else {
-                                    Some(
-                                        dep + self.comm.boundary_transfer_time(
-                                            model,
-                                            &stage_loads[s - 1],
-                                            s - 1,
-                                            s,
-                                        ),
-                                    )
-                                }
+                                own.max(grad)
                             }
                         }
-                        OpKind::Backward => {
-                            let own_fwd = fwd_finish[s][op.microbatch];
-                            if own_fwd.is_nan() {
-                                None
-                            } else if s == p - 1 {
-                                Some(own_fwd)
-                            } else {
-                                let dep = bwd_finish[s + 1][op.microbatch];
-                                if dep.is_nan() {
-                                    None
-                                } else {
-                                    Some(own_fwd.max(
-                                        dep + self.comm.gradient_transfer_time(
-                                            model,
-                                            &stage_loads[s],
-                                            s + 1,
-                                            s,
-                                        ),
-                                    ))
-                                }
-                            }
-                        }
-                        _ => unreachable!("reference schedules never split backward"),
+                        OpKind::Backward | OpKind::BackwardInput => fwd_end[slot],
+                        OpKind::BackwardWeight => grad_end[slot],
                     };
-                    let Some(ready) = ready else { break };
-                    let duration = match op.kind {
-                        OpKind::Forward => stage_loads[s].fwd_time,
-                        _ => stage_loads[s].bwd_time,
-                    };
-                    let start = worker_time[s].max(ready);
-                    let end = start + duration;
-                    match op.kind {
-                        OpKind::Forward => fwd_finish[s][op.microbatch] = end,
-                        _ => bwd_finish[s][op.microbatch] = end,
+                    if ready.is_nan() {
+                        break;
                     }
-                    timelines[s].spans.push(OpSpan { op, start, end });
-                    worker_time[s] = end;
-                    next_idx[s] += 1;
+                    // Interleaving splits a worker's layers evenly across
+                    // its `v` chunks, so each chunk costs `1/v` of the stage.
+                    let duration = match op.kind {
+                        OpKind::Forward => load.fwd_time,
+                        OpKind::Backward => load.bwd_time,
+                        OpKind::BackwardInput => load.bwd_input_time(),
+                        OpKind::BackwardWeight => load.bwd_weight_time(),
+                    } / v as f64;
+                    assert!(
+                        duration.is_finite() && duration >= 0.0,
+                        "op duration must be finite and non-negative"
+                    );
+                    let start = worker_end.max(ready);
+                    worker_end = start + duration;
+                    match op.kind {
+                        OpKind::Forward => fwd_end[slot] = worker_end,
+                        OpKind::Backward | OpKind::BackwardInput => grad_end[slot] = worker_end,
+                        OpKind::BackwardWeight => {}
+                    }
+                    spans.push(OpSpan {
+                        op,
+                        start,
+                        end: worker_end,
+                    });
                     scheduled += 1;
-                    progressed = true;
                 }
             }
             assert!(
-                progressed,
-                "pipeline schedule deadlocked ({} of {} ops scheduled)",
-                scheduled, total_ops
+                scheduled > before,
+                "pipeline schedule deadlocked ({scheduled} of {total} ops scheduled)"
             );
         }
-
         finish_report(stage_loads, timelines)
     }
-}
-
-/// Run the engine over a dependency graph, pushing the resulting op spans
-/// onto `timelines` (indexed by physical worker).  Kahn's algorithm: a
-/// node's start time is the max over its predecessors of `end + edge
-/// weight` (a worker's in-order execution is an explicit edge chain, so
-/// per-worker spans come out chain-ordered), and processing order only has
-/// to be topological — no time-ordered queue.  Panics if the graph
-/// deadlocks (a cycle, i.e. a malformed schedule).
-fn execute_graph(graph: &OpGraph, timelines: &mut [WorkerTimeline]) {
-    let n = graph.ops.len();
-    let mut ready = vec![0.0f64; n];
-    let mut preds = graph.preds.clone();
-    let mut stack: Vec<usize> = (0..n).filter(|&node| preds[node] == 0).collect();
-    let mut scheduled = 0usize;
-
-    while let Some(node) = stack.pop() {
-        let start = ready[node];
-        let end = start + graph.durations[node];
-        timelines[graph.workers[node]].spans.push(OpSpan {
-            op: graph.ops[node],
-            start,
-            end,
-        });
-        scheduled += 1;
-        for &(succ, weight) in graph.succs(node) {
-            ready[succ] = ready[succ].max(end + weight);
-            preds[succ] -= 1;
-            if preds[succ] == 0 {
-                stack.push(succ);
-            }
-        }
-    }
-    assert!(
-        scheduled == n,
-        "pipeline schedule deadlocked ({scheduled} of {n} ops scheduled)"
-    );
 }
 
 /// Assemble the [`IterationReport`] from per-worker timelines.
@@ -888,20 +597,44 @@ mod tests {
         assert!(slow.makespan > fast.makespan);
     }
 
+    /// Two stages, 1F1B, one micro-batch (fwd 1 s, bwd 2 s) over links
+    /// whose latency is `link_latency`.
+    fn simulate_with_link_latency(link_latency: f64) -> IterationReport {
+        let cluster = ClusterConfig::homogeneous(
+            1,
+            2,
+            1,
+            DeviceSpec {
+                link_latency,
+                ..DeviceSpec::h100_sxm5()
+            },
+        );
+        PipelineSimulator::new(CommCostModel::new(cluster), ScheduleKind::OneFOneB).simulate(
+            &ModelConfig::gpt(24),
+            &[stage(1.0), stage(1.0)],
+            1,
+        )
+    }
+
     #[test]
-    fn reference_simulator_agrees_with_the_engine() {
-        // Spot check here; the exhaustive randomized comparison lives in
-        // the workspace-level property tests.
-        let model = ModelConfig::gpt(24);
-        let loads = vec![stage(1.0), stage(0.7), stage(1.3), stage(1.0)];
-        let cluster = ClusterConfig::homogeneous(2, 4, 1, DeviceSpec::h100_sxm5());
-        for schedule in [ScheduleKind::GPipe, ScheduleKind::OneFOneB] {
-            let sim = PipelineSimulator::new(CommCostModel::new(cluster.clone()), schedule);
-            let engine = sim.simulate(&model, &loads, 7);
-            let reference = sim.simulate_reference(&model, &loads, 7);
-            assert_eq!(engine.makespan, reference.makespan);
-            assert_eq!(engine.per_worker_busy, reference.per_worker_busy);
-        }
+    #[should_panic(expected = "edge communication time must be non-negative")]
+    fn nan_link_latency_is_rejected() {
+        // `max` would drop a NaN arrival, starting stage 1's forward at 0
+        // before stage 0's forward ends.
+        let _ = simulate_with_link_latency(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge communication time must be non-negative")]
+    fn negative_link_latency_is_rejected() {
+        let _ = simulate_with_link_latency(-5.0);
+    }
+
+    #[test]
+    fn infinite_link_latency_delays_the_consumer_forever() {
+        let r = simulate_with_link_latency(f64::INFINITY);
+        assert_eq!(r.makespan, f64::INFINITY);
+        assert_eq!(r.timelines[1].spans[0].start, f64::INFINITY);
     }
 
     #[test]

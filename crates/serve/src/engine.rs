@@ -8,7 +8,7 @@
 //! admission control — so a replica provisioned mid-spike immediately
 //! relieves the shared backlog.  Each replica runs vLLM-style engine
 //! steps formed by its [`crate::batching::ContinuousBatcher`], and each
-//! step is priced by the event-driven pipeline simulator's forward-only mode
+//! step is priced by the pipeline simulator's forward-only mode
 //! ([`PipelineSimulator::simulate_forward`]): the step's batch is split
 //! into micro-batches that flow down the pipeline paying per-boundary α–β
 //! communication costs.
