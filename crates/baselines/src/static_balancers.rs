@@ -101,7 +101,7 @@ impl LoadBalancer for DeepSpeedBalancer {
             DeepSpeedMethod::Parameters => {
                 let weights: Vec<f64> =
                     request.loads.iter().map(|l| l.param_count as f64).collect();
-                partition_balanced(&weights, request.num_stages)
+                partition_balanced(&weights, &vec![1.0; request.num_stages])
             }
             DeepSpeedMethod::Regex(_) => {
                 // The regex method balances the *matching* layers uniformly;
@@ -173,7 +173,7 @@ pub fn deepspeed_initial_assignment(
                 .iter()
                 .map(|l| l.param_count as f64)
                 .collect();
-            StageAssignment::from_counts(&partition_balanced(&weights, num_stages))
+            StageAssignment::from_counts(&partition_balanced(&weights, &vec![1.0; num_stages]))
         }
         DeepSpeedMethod::Regex(pattern) => {
             // Layers whose name matches the pattern are distributed evenly;

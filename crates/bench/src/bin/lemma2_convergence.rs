@@ -21,11 +21,9 @@ struct ConvergenceRow {
     bound: f64,
     imbalance_before: f64,
     imbalance_after: f64,
-    /// Wall-clock seconds using the O(p) incremental potential update.
+    /// Median wall-clock seconds of one rebalance (O(p) incremental
+    /// potential update per candidate move).
     seconds_incremental: f64,
-    /// Wall-clock seconds recomputing the full O(p²) potential per
-    /// candidate move (the pre-fix behaviour), for the same workload.
-    seconds_full_recompute: f64,
 }
 
 /// Median wall-clock seconds of `f` over `trials` runs.
@@ -81,15 +79,10 @@ fn main() {
             "Bound",
             "ΔL before",
             "ΔL after",
-            "O(p) time",
-            "O(p²) time",
+            "Time",
         ],
     );
     let balancer = DiffusionBalancer::new();
-    let full_recompute = DiffusionBalancer {
-        use_incremental_potential: false,
-        ..DiffusionBalancer::new()
-    };
     let trials = match scale {
         ExperimentScale::Smoke => 3,
         _ => 7,
@@ -108,14 +101,6 @@ fn main() {
         let seconds_incremental = time_median(trials, || {
             std::hint::black_box(balancer.rebalance(&request));
         });
-        let seconds_full_recompute = time_median(trials, || {
-            std::hint::black_box(full_recompute.rebalance(&request));
-        });
-        // Both paths must commit exactly the same moves.
-        assert_eq!(
-            outcome.assignment,
-            full_recompute.rebalance(&request).assignment
-        );
         let after = load_imbalance(&dynmo_core::balancer::stage_weights(
             &outcome.assignment,
             &loads,
@@ -131,7 +116,6 @@ fn main() {
             format!("{before:.3}"),
             format!("{after:.3}"),
             format!("{:.2} ms", seconds_incremental * 1e3),
-            format!("{:.2} ms", seconds_full_recompute * 1e3),
         ]);
         rows.push(ConvergenceRow {
             workers,
@@ -141,7 +125,6 @@ fn main() {
             imbalance_before: before,
             imbalance_after: after,
             seconds_incremental,
-            seconds_full_recompute,
         });
         assert!(
             (outcome.rounds as f64) <= bound,
@@ -150,14 +133,6 @@ fn main() {
     }
     table.print();
     println!("All measured round counts are within the Lemma 2 bound.");
-    if let Some(row) = rows.iter().find(|r| r.workers == 64) {
-        println!(
-            "p = 64: incremental potential {:.2} ms vs full recompute {:.2} ms ({:.1}× faster)",
-            row.seconds_incremental * 1e3,
-            row.seconds_full_recompute * 1e3,
-            row.seconds_full_recompute / row.seconds_incremental.max(1e-12),
-        );
-    }
     if let Some(path) = dump_json("lemma2_convergence", &rows) {
         println!("(raw rows written to {})", path.display());
     }

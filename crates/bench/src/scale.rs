@@ -27,25 +27,32 @@ impl ExperimentScale {
         }
     }
 
-    /// Read the scale from a binary's CLI arguments (`--scale X`), falling
-    /// back to [`ExperimentScale::Default`].
-    pub fn from_args(args: &[String]) -> Self {
-        for window in args.windows(2) {
-            if window[0] == "--scale" {
-                if let Some(scale) = Self::parse(&window[1]) {
-                    return scale;
-                }
+    /// Read the scale from a binary's CLI arguments (`--scale X`).  Without
+    /// a `--scale` flag this is [`ExperimentScale::Default`]; an unknown
+    /// value is an error rather than a silent fall-back to the (slow)
+    /// default grid.
+    pub fn from_args(args: &[String]) -> Result<Self, String> {
+        match args.iter().position(|arg| arg == "--scale") {
+            None => Ok(ExperimentScale::Default),
+            Some(i) => {
+                let value = args.get(i + 1).map_or("", String::as_str);
+                Self::parse(value).ok_or_else(|| {
+                    format!("unknown --scale value {value:?}; expected smoke|default|paper")
+                })
             }
         }
-        ExperimentScale::Default
     }
 
     /// Read the scale straight from the process arguments (`--scale X` in
     /// `std::env::args`) — the one shared entry point every figure binary
-    /// uses instead of collecting the arguments itself.
+    /// uses instead of collecting the arguments itself.  Prints the error
+    /// and exits with status 2 on an unknown scale.
     pub fn from_process_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
-        Self::from_args(&args)
+        Self::from_args(&args).unwrap_or_else(|error| {
+            eprintln!("error: {error}");
+            std::process::exit(2)
+        })
     }
 
     /// Number of training iterations simulated per configuration.
@@ -141,11 +148,19 @@ mod tests {
         );
         assert_eq!(ExperimentScale::parse("bogus"), None);
         let args = vec!["--scale".to_string(), "smoke".to_string()];
-        assert_eq!(ExperimentScale::from_args(&args), ExperimentScale::Smoke);
+        assert_eq!(
+            ExperimentScale::from_args(&args),
+            Ok(ExperimentScale::Smoke)
+        );
         assert_eq!(
             ExperimentScale::from_args(&["--other".to_string()]),
-            ExperimentScale::Default
+            Ok(ExperimentScale::Default)
         );
+        for bad in [&["--scale", "smok"][..], &["--scale"][..]] {
+            let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
+            let error = ExperimentScale::from_args(&args).unwrap_err();
+            assert!(error.contains("smoke|default|paper"), "{error}");
+        }
     }
 
     #[test]

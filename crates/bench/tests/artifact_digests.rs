@@ -7,7 +7,13 @@
 //! constant: a refactor of the simulator (or of anything the sweeps call)
 //! must leave both artifacts byte-identical.  If a change is *meant* to
 //! move the numbers, update the constants in the same commit and say why.
+//!
+//! `hetero_sweep` rows carry measured balancer wall-clock inside
+//! `tokens_per_second` (and the margins built from it), so its digest
+//! covers only the row fields the simulation fixes: the labels, the
+//! bubble ratio's bits and the rebalance count.
 
+use dynmo_bench::hetero::run_hetero_sweep;
 use dynmo_bench::serving::{run_serving_sweep, ServingSweepConfig};
 use dynmo_bench::sweep::{run_sweep, SweepConfig};
 use dynmo_bench::ExperimentScale;
@@ -16,6 +22,9 @@ use dynmo_bench::ExperimentScale;
 const PIPELINE_SWEEP_DIGEST: u64 = 0x5500_09d1_2944_1ec9;
 /// Digest of the smoke-scale `results/serving_sweep.json` bytes.
 const SERVING_SWEEP_DIGEST: u64 = 0x47c6_10c8_9d7e_bff5;
+/// Digest of the deterministic fields of the smoke-scale
+/// `results/hetero_sweep.json` rows.
+const HETERO_SWEEP_DIGEST: u64 = 0x2431_afe2_0bc0_627e;
 
 /// 64-bit FNV-1a over `bytes`.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -57,5 +66,30 @@ fn serving_sweep_artifact_matches_its_golden_digest() {
     assert_eq!(
         digest, SERVING_SWEEP_DIGEST,
         "serving_sweep artifact digest {digest:#018x}"
+    );
+}
+
+#[test]
+fn hetero_sweep_rows_match_their_golden_digest() {
+    let report = run_hetero_sweep(ExperimentScale::Smoke);
+    let fields: String = report
+        .rows
+        .iter()
+        .map(|row| {
+            format!(
+                "{}\t{}\t{}\t{}\t{:016x}\t{}\n",
+                row.case,
+                row.cluster,
+                row.configuration,
+                row.schedule,
+                row.bubble_ratio.to_bits(),
+                row.rebalance_events
+            )
+        })
+        .collect();
+    let digest = fnv1a(fields.as_bytes());
+    assert_eq!(
+        digest, HETERO_SWEEP_DIGEST,
+        "hetero_sweep row digest {digest:#018x}"
     );
 }

@@ -31,12 +31,6 @@ pub struct DiffusionBalancer {
     /// Convergence threshold γ on the potential function, expressed as a
     /// fraction of the total load (so it is scale-free).
     pub gamma_fraction: f64,
-    /// Evaluate candidate moves with the O(p) incremental potential update
-    /// ([`potential_after_move`]) instead of cloning the stage loads and
-    /// recomputing the full O(p²) pairwise sum per candidate.  On by
-    /// default; the `lemma2_convergence` bench flips it off to measure the
-    /// win, and the property tests pin both paths to identical outcomes.
-    pub use_incremental_potential: bool,
 }
 
 impl Default for DiffusionBalancer {
@@ -44,7 +38,6 @@ impl Default for DiffusionBalancer {
         DiffusionBalancer {
             max_rounds: 100_000,
             gamma_fraction: 1e-3,
-            use_incremental_potential: true,
         }
     }
 }
@@ -68,8 +61,9 @@ impl DiffusionBalancer {
 }
 
 /// The potential function φ of Lemma 2: the sum of absolute pairwise load
-/// gaps across all worker pairs.  O(p²) — use [`potential_after_move`] to
-/// evaluate a candidate boundary move in O(p).
+/// gaps across all worker pairs.  O(p²) — use
+/// [`potential_after_asymmetric_move`] to evaluate a candidate boundary move
+/// in O(p).
 pub fn potential(stage_loads: &[f64]) -> f64 {
     let mut phi = 0.0;
     for i in 0..stage_loads.len() {
@@ -80,21 +74,15 @@ pub fn potential(stage_loads: &[f64]) -> f64 {
     phi
 }
 
-/// φ after moving weight `w` from stage `from` to stage `to`, computed
-/// incrementally from the current `phi`: a boundary move only changes two
-/// stage loads, so only the O(p) pairwise terms touching those two stages
-/// change — the remaining O(p²) terms cancel.  With exactly-representable
-/// loads (integer-valued f64s, as the property test uses) the result is
-/// bit-equal to recomputing [`potential`] on the moved load vector.
-pub fn potential_after_move(stage_loads: &[f64], phi: f64, from: usize, to: usize, w: f64) -> f64 {
-    potential_after_asymmetric_move(stage_loads, phi, from, to, w, w)
-}
-
-/// [`potential_after_move`] for heterogeneous stages, where one layer's
-/// *time* differs between the source and destination device: the source
-/// sheds `dw_from` and the destination gains `dw_to`.  With `dw_from ==
-/// dw_to` this is exactly the symmetric update (the homogeneous path calls
-/// it with the raw weight on both sides).
+/// φ after one layer moves from stage `from` to stage `to`, computed
+/// incrementally from the current `phi`.  The layer's *time* may differ
+/// between the two devices: the source sheds `dw_from` and the destination
+/// gains `dw_to` (equal on equal-speed stages).  A boundary move only
+/// changes two stage loads, so only the O(p) pairwise terms touching those
+/// two stages change — the remaining O(p²) terms cancel.  With
+/// exactly-representable loads (integer-valued f64s, as the property test
+/// uses) the result is bit-equal to recomputing [`potential`] on the moved
+/// load vector.
 pub fn potential_after_asymmetric_move(
     stage_loads: &[f64],
     phi: f64,
@@ -144,30 +132,23 @@ impl LoadBalancer for DiffusionBalancer {
         let total: f64 = weights.iter().sum();
         // γ is scale-free against the total *time*; on a heterogeneous
         // cluster the fastest device sets the time scale of the load vector
-        // below.  (With all speeds 1.0 both divisions are exact no-ops, so
-        // the homogeneous bits are untouched.)
-        let gamma = match &request.stage_speeds {
-            Some(speeds) => {
-                let max_speed = speeds.iter().copied().fold(f64::MIN_POSITIVE, f64::max);
-                self.gamma_fraction * (total / max_speed)
-            }
-            None => self.gamma_fraction * total,
-        };
+        // below.  (With all speeds 1.0 every division here is exact.)
+        let speeds = &request.stage_speeds;
+        let max_speed = speeds.iter().copied().fold(f64::MIN_POSITIVE, f64::max);
+        let gamma = self.gamma_fraction * (total / max_speed);
 
         // Stage loads in the time domain: raw objective weight over the
         // stage's effective speed.
         let mut loads = stage_weights(&assignment, request.loads, request.objective);
-        if let Some(speeds) = &request.stage_speeds {
-            for (s, load) in loads.iter_mut().enumerate() {
-                *load /= speeds[s];
-            }
+        for (load, &speed) in loads.iter_mut().zip(speeds) {
+            *load /= speed;
         }
         let mut phi = potential(&loads);
         let mut rounds = 0u64;
 
         // Evaluate moving the boundary layer of `from` to `to`: the new φ
-        // (incremental O(p) delta, or the legacy full O(p²) recompute) and
-        // the layer moved, when the move improves φ and fits in memory.
+        // (an O(p) incremental delta) and the layer moved, when the move
+        // improves φ and fits in memory.
         let evaluate = |assignment: &StageAssignment,
                         loads: &[f64],
                         phi: f64,
@@ -177,22 +158,12 @@ impl LoadBalancer for DiffusionBalancer {
             let layer = boundary_layer(assignment, from, to)?;
             let w = weights[layer];
             // The layer's *time* on each endpoint's device.
-            let (dw_from, dw_to) = match &request.stage_speeds {
-                Some(speeds) => (w / speeds[from], w / speeds[to]),
-                None => (w, w),
-            };
-            let new_phi = if self.use_incremental_potential {
-                potential_after_asymmetric_move(loads, phi, from, to, dw_from, dw_to)
-            } else {
-                let mut new_loads = loads.to_vec();
-                new_loads[from] -= dw_from;
-                new_loads[to] += dw_to;
-                potential(&new_loads)
-            };
+            let (dw_from, dw_to) = (w / speeds[from], w / speeds[to]);
+            let new_phi = potential_after_asymmetric_move(loads, phi, from, to, dw_from, dw_to);
             // Memory check on the destination stage.
             let mut dest_layers = assignment.layers_of(to);
             dest_layers.push(layer);
-            let fits = request.stage_memory(to, &dest_layers) <= request.capacity_of(to);
+            let fits = request.stage_memory(to, &dest_layers) <= request.stage_capacities[to];
             (new_phi < phi - 1e-15 && fits).then_some((layer, new_phi, dw_from, dw_to))
         };
 
@@ -424,7 +395,7 @@ mod tests {
                     continue;
                 }
                 for w in [1.0f64, 2.0, 5.0, 13.0] {
-                    let incremental = potential_after_move(&loads, phi, from, to, w);
+                    let incremental = potential_after_asymmetric_move(&loads, phi, from, to, w, w);
                     let mut moved = loads.clone();
                     moved[from] -= w;
                     moved[to] += w;
@@ -440,51 +411,8 @@ mod tests {
     }
 
     #[test]
-    fn incremental_and_full_paths_produce_identical_outcomes() {
-        // The toggle only changes how candidate φ values are computed; the
-        // committed moves — and hence the final assignment, round count,
-        // and bottleneck — must be identical on realistic (non-dyadic)
-        // workloads.
-        for seed in 0..6u64 {
-            let times: Vec<f64> = (0..40)
-                .map(|i| 0.25 + (((i as u64 + 1) * (seed + 3) * 2654435761) % 997) as f64 / 300.0)
-                .collect();
-            let loads = loads_from_times(&times);
-            let current = StageAssignment::uniform(40, 8);
-            let request = BalanceRequest::new(&loads, 8, u64::MAX, BalanceObjective::ByTime)
-                .with_current(&current);
-            let incremental = DiffusionBalancer::new().rebalance(&request);
-            let full = DiffusionBalancer {
-                use_incremental_potential: false,
-                ..DiffusionBalancer::new()
-            }
-            .rebalance(&request);
-            assert_eq!(incremental.assignment, full.assignment, "seed {seed}");
-            assert_eq!(incremental.rounds, full.rounds);
-            assert_eq!(incremental.bottleneck.to_bits(), full.bottleneck.to_bits());
-        }
-    }
-
-    #[test]
     fn balancer_name_is_stable() {
         assert_eq!(DiffusionBalancer::new().name(), "diffusion");
-    }
-
-    #[test]
-    fn unit_speeds_are_bit_identical_to_the_homogeneous_path() {
-        let times: Vec<f64> = (0..40)
-            .map(|i| 0.25 + (((i as u64 + 1) * 2654435761) % 997) as f64 / 300.0)
-            .collect();
-        let loads = loads_from_times(&times);
-        let current = StageAssignment::uniform(40, 8);
-        let plain = BalanceRequest::new(&loads, 8, u64::MAX, BalanceObjective::ByTime)
-            .with_current(&current);
-        let unit = plain.clone().with_stage_speeds(Some(vec![1.0; 8]));
-        let a = DiffusionBalancer::new().rebalance(&plain);
-        let b = DiffusionBalancer::new().rebalance(&unit);
-        assert_eq!(a.assignment, b.assignment);
-        assert_eq!(a.rounds, b.rounds);
-        assert_eq!(a.bottleneck.to_bits(), b.bottleneck.to_bits());
     }
 
     #[test]
@@ -494,7 +422,7 @@ mod tests {
         // Stage 3 runs at a quarter speed: diffusion should drain it.
         let request = BalanceRequest::new(&loads, 4, u64::MAX, BalanceObjective::ByTime)
             .with_current(&current)
-            .with_stage_speeds(Some(vec![1.0, 1.0, 1.0, 0.25]));
+            .with_stage_speeds(vec![1.0, 1.0, 1.0, 0.25]);
         let outcome = DiffusionBalancer::new().rebalance(&request);
         let counts = outcome.assignment.counts();
         assert_eq!(counts.iter().sum::<usize>(), 24);
@@ -520,8 +448,8 @@ mod tests {
         let request = BalanceRequest::new(&loads, 2, u64::MAX, BalanceObjective::ByTime)
             .with_current(&current)
             .with_inflight(vec![0, 0])
-            .with_stage_speeds(Some(vec![1.0, 8.0]))
-            .with_stage_capacities(Some(vec![u64::MAX, 5_000]));
+            .with_stage_speeds(vec![1.0, 8.0])
+            .with_stage_capacities(vec![u64::MAX, 5_000]);
         let outcome = DiffusionBalancer::new().rebalance(&request);
         let counts = outcome.assignment.counts();
         assert!(counts[1] <= 5, "counts {counts:?}");

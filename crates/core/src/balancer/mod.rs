@@ -55,14 +55,18 @@ impl BalanceObjective {
 }
 
 /// Everything a balancer needs to produce a new assignment.
+///
+/// Heterogeneity is data, not a mode: every request carries one effective
+/// speed and one memory capacity per stage.  A uniform cluster has every
+/// speed exactly 1.0, where the balancers' time arithmetic (`w / 1.0`,
+/// `limit * 1.0`) is exact and so reproduces the speed-free results bit for
+/// bit.
 #[derive(Debug, Clone)]
 pub struct BalanceRequest<'a> {
     /// Profiled per-layer loads (model order).
     pub loads: &'a [LayerLoad],
     /// Number of pipeline stages (workers) available.
     pub num_stages: usize,
-    /// Memory capacity of each worker in bytes.
-    pub memory_capacity: u64,
     /// In-flight micro-batches per stage (for activation memory accounting);
     /// must have `num_stages` entries.
     pub inflight: Vec<usize>,
@@ -71,18 +75,17 @@ pub struct BalanceRequest<'a> {
     pub current: Option<&'a StageAssignment>,
     /// The balancing objective.
     pub objective: BalanceObjective,
-    /// Per-stage effective speed relative to the reference device (`None` =
-    /// homogeneous; arithmetic on that path must stay bit-identical to the
-    /// speed-free code).  A layer of weight `w` costs `w / speed[s]` time on
-    /// stage `s`.
-    pub stage_speeds: Option<Vec<f64>>,
-    /// Per-stage memory capacities for mixed-generation clusters (`None` =
-    /// every stage has `memory_capacity`).
-    pub stage_capacities: Option<Vec<u64>>,
+    /// Per-stage effective speed relative to the reference device
+    /// (`num_stages` positive entries).  A layer of weight `w` costs
+    /// `w / stage_speeds[s]` time on stage `s`.
+    pub stage_speeds: Vec<f64>,
+    /// Per-stage memory capacity in bytes (`num_stages` entries).
+    pub stage_capacities: Vec<u64>,
 }
 
 impl<'a> BalanceRequest<'a> {
-    /// Convenience constructor with a conservative in-flight estimate of
+    /// A request over `num_stages` equal stages (speed 1.0, `memory_capacity`
+    /// bytes each) with a conservative in-flight estimate of
     /// `min(num_stages, 4)` micro-batches for every stage.
     pub fn new(
         loads: &'a [LayerLoad],
@@ -93,12 +96,11 @@ impl<'a> BalanceRequest<'a> {
         BalanceRequest {
             loads,
             num_stages,
-            memory_capacity,
             inflight: vec![num_stages.min(4); num_stages],
             current: None,
             objective,
-            stage_speeds: None,
-            stage_capacities: None,
+            stage_speeds: vec![1.0; num_stages],
+            stage_capacities: vec![memory_capacity; num_stages],
         }
     }
 
@@ -115,21 +117,20 @@ impl<'a> BalanceRequest<'a> {
         self
     }
 
-    /// Set per-stage effective speeds (builder style; `None` clears them).
-    pub fn with_stage_speeds(mut self, speeds: Option<Vec<f64>>) -> Self {
-        if let Some(s) = &speeds {
-            assert_eq!(s.len(), self.num_stages);
-            assert!(s.iter().all(|&v| v > 0.0), "stage speeds must be positive");
-        }
+    /// Set per-stage effective speeds (builder style).
+    pub fn with_stage_speeds(mut self, speeds: Vec<f64>) -> Self {
+        assert_eq!(speeds.len(), self.num_stages);
+        assert!(
+            speeds.iter().all(|&v| v > 0.0),
+            "stage speeds must be positive"
+        );
         self.stage_speeds = speeds;
         self
     }
 
-    /// Set per-stage memory capacities (builder style; `None` clears them).
-    pub fn with_stage_capacities(mut self, capacities: Option<Vec<u64>>) -> Self {
-        if let Some(c) = &capacities {
-            assert_eq!(c.len(), self.num_stages);
-        }
+    /// Set per-stage memory capacities (builder style).
+    pub fn with_stage_capacities(mut self, capacities: Vec<u64>) -> Self {
+        assert_eq!(capacities.len(), self.num_stages);
         self.stage_capacities = capacities;
         self
     }
@@ -137,22 +138,6 @@ impl<'a> BalanceRequest<'a> {
     /// The weight of layer `l` under the request's objective.
     pub fn weight(&self, l: usize) -> f64 {
         self.objective.weight(&self.loads[l])
-    }
-
-    /// Effective speed of stage `s` (1.0 on the homogeneous path).
-    pub fn speed(&self, s: usize) -> f64 {
-        match &self.stage_speeds {
-            Some(speeds) => speeds[s],
-            None => 1.0,
-        }
-    }
-
-    /// Memory capacity of stage `s`.
-    pub fn capacity_of(&self, s: usize) -> u64 {
-        match &self.stage_capacities {
-            Some(capacities) => capacities[s],
-            None => self.memory_capacity,
-        }
     }
 
     /// Memory bytes stage `s` would need to host the given layers.

@@ -28,122 +28,42 @@ impl PartitionBalancer {
     }
 }
 
-/// Greedy probe: can `weights` be split into at most `parts` contiguous
-/// groups each of sum ≤ `limit`?
-fn feasible(weights: &[f64], parts: usize, limit: f64) -> bool {
-    let mut used = 1usize;
+/// Greedy probe: can `weights` be split into contiguous groups, one per
+/// entry of `speeds`, such that every stage `s` carries at most
+/// `limit · speeds[s]` weight (i.e. at most `limit` *time*)?  When the next
+/// layer overflows the current stage, the walk moves on to the first later
+/// stage whose cap holds that layer alone, leaving any slower stage in
+/// between empty.  With every speed 1.0 all caps are equal, no stage is
+/// ever skipped, and this is the textbook homogeneous probe.
+fn feasible(weights: &[f64], speeds: &[f64], limit: f64) -> bool {
+    let mut stage = 0usize;
+    let mut cap = limit * speeds[0];
     let mut current = 0.0f64;
     for &w in weights {
-        if w > limit {
-            return false;
-        }
-        if current + w > limit {
-            used += 1;
-            current = w;
-            if used > parts {
-                return false;
+        if current + w > cap {
+            loop {
+                stage += 1;
+                if stage >= speeds.len() {
+                    return false;
+                }
+                cap = limit * speeds[stage];
+                if w <= cap {
+                    break;
+                }
             }
-        } else {
-            current += w;
-        }
-    }
-    true
-}
-
-/// Split `weights` into exactly `parts` contiguous groups minimizing the
-/// maximum group sum; returns per-group counts.
-pub fn partition_balanced(weights: &[f64], parts: usize) -> Vec<usize> {
-    assert!(parts > 0, "need at least one part");
-    if weights.is_empty() {
-        return vec![0; parts];
-    }
-    let total: f64 = weights.iter().sum();
-    let max_single = weights.iter().copied().fold(0.0, f64::max);
-    // Binary search on the bottleneck value.
-    let mut lo = max_single.max(total / parts as f64);
-    let mut hi = total;
-    for _ in 0..64 {
-        let mid = 0.5 * (lo + hi);
-        if feasible(weights, parts, mid) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    let limit = hi * (1.0 + 1e-12);
-    // Greedy assignment under the found bottleneck, then pad to exactly
-    // `parts` groups (trailing empty stages are allowed: they correspond to
-    // workers left idle, which re-packing later releases).
-    let mut counts = Vec::with_capacity(parts);
-    let mut current = 0.0f64;
-    let mut count = 0usize;
-    for &w in weights {
-        if count > 0 && current + w > limit && counts.len() < parts - 1 {
-            counts.push(count);
-            count = 0;
             current = 0.0;
         }
-        count += 1;
         current += w;
-    }
-    counts.push(count);
-    while counts.len() < parts {
-        counts.push(0);
-    }
-    counts
-}
-
-/// Device-weighted greedy probe: can `weights` be split into contiguous
-/// groups, one per entry of `speeds`, such that every stage `s` carries at
-/// most `limit · speeds[s]` weight (i.e. at most `limit` *time*)?  Stages
-/// may be skipped — a slow stage whose cap cannot hold the next layer alone
-/// is left empty when some later stage can — which reduces to the
-/// homogeneous probe when every speed is 1.0 (all caps equal, so a skip is
-/// never taken and the stage walk mirrors the group counter).
-fn feasible_weighted(weights: &[f64], speeds: &[f64], limit: f64) -> bool {
-    let parts = speeds.len();
-    let mut stage = 0usize;
-    let mut current = 0.0f64;
-    let mut count = 0usize;
-    for &w in weights {
-        loop {
-            let cap = limit * speeds[stage];
-            if count > 0 && current + w > cap {
-                stage += 1;
-                if stage >= parts {
-                    return false;
-                }
-                current = 0.0;
-                count = 0;
-                continue;
-            }
-            if count == 0 && w > cap {
-                // The layer does not fit this stage even alone: feasible
-                // only by leaving the stage empty for a later, faster one.
-                if !speeds[stage + 1..].iter().any(|&s| w <= limit * s) {
-                    return false;
-                }
-                stage += 1;
-                // `any` found a later stage, so this cannot run off the end.
-                continue;
-            }
-            current += w;
-            count += 1;
-            break;
-        }
     }
     true
 }
 
-/// Device-weighted [`partition_balanced`]: split `weights` into
-/// `speeds.len()` contiguous groups minimizing the maximum *stage time*
-/// `sum(group) / speeds[s]`; returns per-group counts.
-///
-/// With every speed exactly 1.0 this reproduces [`partition_balanced`]
-/// bit-for-bit: the search bounds, the probe's booleans, the bisection
-/// trajectory and the final greedy walk all collapse onto the homogeneous
-/// algorithm's exact arithmetic.
-pub fn partition_balanced_weighted(weights: &[f64], speeds: &[f64]) -> Vec<usize> {
+/// Split `weights` into `speeds.len()` contiguous groups minimizing the
+/// maximum *stage time* `sum(group) / speeds[s]`; returns per-group counts.
+/// DeepSpeed's `partition_balanced` is the all-1.0-speeds case: `x / 1.0`
+/// and `x * 1.0` are exact, so unit speeds reproduce its bisection and split
+/// bit for bit.
+pub fn partition_balanced(weights: &[f64], speeds: &[f64]) -> Vec<usize> {
     let parts = speeds.len();
     assert!(parts > 0, "need at least one part");
     assert!(
@@ -165,13 +85,16 @@ pub fn partition_balanced_weighted(weights: &[f64], speeds: &[f64]) -> Vec<usize
     let mut hi = total / min_speed;
     for _ in 0..64 {
         let mid = 0.5 * (lo + hi);
-        if feasible_weighted(weights, speeds, mid) {
+        if feasible(weights, speeds, mid) {
             hi = mid;
         } else {
             lo = mid;
         }
     }
     let limit = hi * (1.0 + 1e-12);
+    // Greedy assignment under the found bottleneck.  Trailing stages may
+    // stay empty: they correspond to workers left idle, which re-packing
+    // later releases.
     let mut counts = vec![0usize; parts];
     let mut stage = 0usize;
     let mut current = 0.0f64;
@@ -210,10 +133,7 @@ impl LoadBalancer for PartitionBalancer {
         let weights: Vec<f64> = (0..request.loads.len())
             .map(|l| request.weight(l))
             .collect();
-        let mut counts = match &request.stage_speeds {
-            Some(speeds) => partition_balanced_weighted(&weights, speeds),
-            None => partition_balanced(&weights, request.num_stages),
-        };
+        let mut counts = partition_balanced(&weights, &request.stage_speeds);
 
         // Memory feasibility pass: if the weight-balanced split blows a
         // worker's memory budget, fall back to partitioning by memory bytes
@@ -236,43 +156,28 @@ impl LoadBalancer for PartitionBalancer {
                         as f64
                 })
                 .collect();
-            counts = match &request.stage_capacities {
-                // Uneven memory: give each stage a byte cap proportional to
-                // its capacity (the probe's limit scaling absorbs units).
-                Some(caps) => {
-                    let cap_speeds: Vec<f64> = caps.iter().map(|&c| c as f64).collect();
-                    partition_balanced_weighted(&mem_weights, &cap_speeds)
-                }
-                None => partition_balanced(&mem_weights, request.num_stages),
-            };
+            // Each stage gets a byte cap proportional to its capacity: the
+            // capacities, normalised by the largest, act as the probe's
+            // speeds (exactly 1.0 everywhere on a uniform cluster).
+            let max_capacity = request.stage_capacities.iter().copied().max().unwrap_or(0) as f64;
+            let capacity_speeds: Vec<f64> = request
+                .stage_capacities
+                .iter()
+                .map(|&c| c as f64 / max_capacity)
+                .collect();
+            counts = partition_balanced(&mem_weights, &capacity_speeds);
         }
 
-        let assignment = StageAssignment::from_counts(&counts);
-        let bottleneck = match &request.stage_speeds {
-            Some(speeds) => stage_bottleneck_weighted(&weights, speeds, &counts),
-            None => stage_bottleneck(&weights, &counts),
-        };
         BalanceOutcome {
-            assignment,
+            assignment: StageAssignment::from_counts(&counts),
             rounds: 1,
-            bottleneck,
+            bottleneck: stage_bottleneck(&weights, &request.stage_speeds, &counts),
         }
     }
 }
 
-fn stage_bottleneck(weights: &[f64], counts: &[usize]) -> f64 {
-    let mut best = 0.0f64;
-    let mut idx = 0usize;
-    for &c in counts {
-        let sum: f64 = weights[idx..idx + c].iter().sum();
-        best = best.max(sum);
-        idx += c;
-    }
-    best
-}
-
-/// Max per-stage *time* (`sum of weights / speed`) of a weighted split.
-fn stage_bottleneck_weighted(weights: &[f64], speeds: &[f64], counts: &[usize]) -> f64 {
+/// Max per-stage *time* (`sum of weights / speed`) of a split.
+fn stage_bottleneck(weights: &[f64], speeds: &[f64], counts: &[usize]) -> f64 {
     let mut best = 0.0f64;
     let mut idx = 0usize;
     for (stage, &c) in counts.iter().enumerate() {
@@ -287,7 +192,7 @@ fn memory_ok(request: &BalanceRequest<'_>, counts: &[usize]) -> bool {
     let mut idx = 0usize;
     for (stage, &c) in counts.iter().enumerate() {
         let layers: Vec<usize> = (idx..idx + c).collect();
-        if request.stage_memory(stage, &layers) > request.capacity_of(stage) {
+        if request.stage_memory(stage, &layers) > request.stage_capacities[stage] {
             return false;
         }
         idx += c;
@@ -305,17 +210,17 @@ mod tests {
     #[test]
     fn feasibility_probe_matches_hand_cases() {
         let w = [1.0, 2.0, 3.0, 4.0];
-        assert!(feasible(&w, 2, 6.0));
-        assert!(!feasible(&w, 2, 5.9));
-        assert!(feasible(&w, 4, 4.0));
-        assert!(!feasible(&w, 1, 9.9));
-        assert!(feasible(&w, 1, 10.0));
+        assert!(feasible(&w, &[1.0; 2], 6.0));
+        assert!(!feasible(&w, &[1.0; 2], 5.9));
+        assert!(feasible(&w, &[1.0; 4], 4.0));
+        assert!(!feasible(&w, &[1.0], 9.9));
+        assert!(feasible(&w, &[1.0], 10.0));
     }
 
     #[test]
     fn partition_minimizes_the_bottleneck_on_uniform_weights() {
         let weights = vec![1.0; 24];
-        let counts = partition_balanced(&weights, 4);
+        let counts = partition_balanced(&weights, &[1.0; 4]);
         assert_eq!(counts, vec![6, 6, 6, 6]);
     }
 
@@ -324,24 +229,24 @@ mod tests {
         // One huge layer: it must sit alone on a stage.
         let mut weights = vec![1.0; 7];
         weights.push(10.0);
-        let counts = partition_balanced(&weights, 3);
+        let counts = partition_balanced(&weights, &[1.0; 3]);
         assert_eq!(counts.iter().sum::<usize>(), 8);
-        let bottleneck = stage_bottleneck(&weights, &counts);
+        let bottleneck = stage_bottleneck(&weights, &[1.0; 3], &counts);
         assert_eq!(bottleneck, 10.0); // cannot do better than the single big layer
     }
 
     #[test]
     fn partition_with_more_parts_than_layers_pads_empty_stages() {
         let weights = vec![5.0, 5.0];
-        let counts = partition_balanced(&weights, 4);
+        let counts = partition_balanced(&weights, &[1.0; 4]);
         assert_eq!(counts.iter().sum::<usize>(), 2);
         assert_eq!(counts.len(), 4);
-        assert_eq!(stage_bottleneck(&weights, &counts), 5.0);
+        assert_eq!(stage_bottleneck(&weights, &[1.0; 4], &counts), 5.0);
     }
 
     #[test]
     fn partition_of_empty_weights_is_all_empty() {
-        assert_eq!(partition_balanced(&[], 3), vec![0, 0, 0]);
+        assert_eq!(partition_balanced(&[], &[1.0; 3]), vec![0, 0, 0]);
     }
 
     #[test]
@@ -450,7 +355,7 @@ mod tests {
         // The by-time split ([7, 1]) blows stage 0's budget, so the memory
         // fallback must engage.
         let time_weights: Vec<f64> = (0..8).map(|l| request.weight(l)).collect();
-        assert_eq!(partition_balanced(&time_weights, 2), vec![7, 1]);
+        assert_eq!(partition_balanced(&time_weights, &[1.0; 2]), vec![7, 1]);
         assert!(!memory_ok(&request, &[7, 1]));
 
         // Old behaviour, reproduced inline: weighting by stage 0's
@@ -461,7 +366,7 @@ mod tests {
             .iter()
             .map(|l| (l.static_bytes + l.activation_bytes * stage0_inflight) as f64)
             .collect();
-        let old_counts = partition_balanced(&old_weights, 2);
+        let old_counts = partition_balanced(&old_weights, &[1.0; 2]);
         assert_eq!(old_counts, vec![3, 5]);
         assert!(
             !memory_ok(&request, &old_counts),
@@ -481,31 +386,16 @@ mod tests {
     }
 
     #[test]
-    fn weighted_partition_with_unit_speeds_is_bit_identical_to_homogeneous() {
-        let weights: Vec<f64> = (0..24)
-            .map(|i| 1.0 + (i as f64 * 0.37).sin().abs())
-            .collect();
-        for parts in [1, 2, 3, 4, 7, 24, 30] {
-            let speeds = vec![1.0; parts];
-            assert_eq!(
-                partition_balanced_weighted(&weights, &speeds),
-                partition_balanced(&weights, parts),
-                "parts = {parts}"
-            );
-        }
-    }
-
-    #[test]
     fn weighted_partition_gives_fast_stages_more_layers() {
         let weights = vec![1.0; 24];
         // Stage 0 is 3× faster than stage 2.
         let speeds = vec![3.0, 2.0, 1.0];
-        let counts = partition_balanced_weighted(&weights, &speeds);
+        let counts = partition_balanced(&weights, &speeds);
         assert_eq!(counts.iter().sum::<usize>(), 24);
         assert!(counts[0] > counts[2], "counts {counts:?}");
         // The weighted bottleneck beats the speed-blind even split's time on
         // the slow stage (8 layers / speed 1.0 = 8.0).
-        let t = stage_bottleneck_weighted(&weights, &speeds, &counts);
+        let t = stage_bottleneck(&weights, &speeds, &counts);
         assert!(t < 8.0, "bottleneck {t}");
     }
 
@@ -515,9 +405,9 @@ mod tests {
         // slow stage rather than fail.
         let weights = vec![10.0];
         let speeds = vec![0.1, 1.0];
-        assert!(feasible_weighted(&weights, &speeds, 10.0));
-        assert!(!feasible_weighted(&weights, &speeds, 9.0));
-        let counts = partition_balanced_weighted(&weights, &speeds);
+        assert!(feasible(&weights, &speeds, 10.0));
+        assert!(!feasible(&weights, &speeds, 9.0));
+        let counts = partition_balanced(&weights, &speeds);
         assert_eq!(counts, vec![0, 1]);
     }
 
@@ -525,7 +415,7 @@ mod tests {
     fn hetero_request_routes_through_the_weighted_partition() {
         let loads = loads_from_times(&[1.0; 12]);
         let slow_last = BalanceRequest::new(&loads, 3, u64::MAX, BalanceObjective::ByTime)
-            .with_stage_speeds(Some(vec![1.0, 1.0, 0.25]));
+            .with_stage_speeds(vec![1.0, 1.0, 0.25]);
         let outcome = PartitionBalancer::new().rebalance(&slow_last);
         let counts = outcome.assignment.counts();
         assert_eq!(counts.iter().sum::<usize>(), 12);
@@ -543,7 +433,7 @@ mod tests {
         }
         let request = BalanceRequest::new(&loads, 2, 8_000, BalanceObjective::ByTime)
             .with_inflight(vec![0, 0])
-            .with_stage_capacities(Some(vec![8_000, 2_000]));
+            .with_stage_capacities(vec![8_000, 2_000]);
         let outcome = PartitionBalancer::new().rebalance(&request);
         let counts = outcome.assignment.counts();
         assert_eq!(counts.iter().sum::<usize>(), 8);

@@ -136,28 +136,29 @@ impl RebalanceController {
     /// * `current` — the assignment in effect (over the currently active
     ///   workers).
     /// * `loads` — the freshly profiled per-layer loads.
-    /// * `memory_capacity` — per-worker memory budget.
     /// * `inflight` — in-flight micro-batches per active stage.
     /// * `comm` — communication model for migration cost.
     /// * `min_workers` — never consolidate below this many workers.
     /// * `num_microbatches` — micro-batches per iteration, used to weigh the
     ///   expected per-iteration benefit of a move against its migration cost.
-    /// * `stage_speeds` — per-stage effective speeds on a heterogeneous (or
-    ///   straggler-degraded) cluster; `None` = homogeneous.
-    /// * `stage_capacities` — per-stage memory capacities; `None` = every
-    ///   stage has `memory_capacity`.
+    /// * `stage_speeds` — per-stage effective speeds (device generation times
+    ///   any straggler downgrade; all 1.0 on a healthy uniform cluster).
+    /// * `stage_capacities` — per-stage memory budgets in bytes.
+    ///
+    /// `inflight`, `stage_speeds` and `stage_capacities` are fitted to the
+    /// active workers the same way: truncated, or extended by repeating the
+    /// last entry.
     #[allow(clippy::too_many_arguments)]
     pub fn rebalance(
         &self,
         current: &StageAssignment,
         loads: &[LayerLoad],
-        memory_capacity: u64,
         inflight: &[usize],
         comm: &CommCostModel,
         min_workers: usize,
         num_microbatches: usize,
-        stage_speeds: Option<&[f64]>,
-        stage_capacities: Option<&[u64]>,
+        stage_speeds: &[f64],
+        stage_capacities: &[u64],
     ) -> RebalanceOutcome {
         let started = Stopwatch::start();
         let mut active_workers = current.num_stages();
@@ -179,41 +180,14 @@ impl RebalanceController {
         }
 
         // Step 2: balance the layers over the (possibly reduced) worker set.
-        // Per-stage vectors follow the same convention as `inflight`:
-        // truncated to the active workers, extended by repeating the last
-        // entry if re-packing ever grew the set.
-        let fit_f64 = |values: &[f64]| -> Vec<f64> {
-            values
-                .iter()
-                .copied()
-                .chain(std::iter::repeat(values.last().copied().unwrap_or(1.0)))
-                .take(active_workers)
-                .collect()
-        };
-        let fit_u64 = |values: &[u64]| -> Vec<u64> {
-            values
-                .iter()
-                .copied()
-                .chain(std::iter::repeat(
-                    values.last().copied().unwrap_or(memory_capacity),
-                ))
-                .take(active_workers)
-                .collect()
-        };
         let request = BalanceRequest {
             loads,
             num_stages: active_workers,
-            memory_capacity,
-            inflight: inflight
-                .iter()
-                .copied()
-                .chain(std::iter::repeat(*inflight.last().unwrap_or(&1)))
-                .take(active_workers)
-                .collect(),
+            inflight: fit_to_stages(inflight, active_workers, 1),
             current: Some(current),
             objective: self.objective,
-            stage_speeds: stage_speeds.map(fit_f64),
-            stage_capacities: stage_capacities.map(fit_u64),
+            stage_speeds: fit_to_stages(stage_speeds, active_workers, 1.0),
+            stage_capacities: fit_to_stages(stage_capacities, active_workers, u64::MAX),
         };
         let outcome = self.balancer.rebalance(&request);
         let algorithm_time = started.elapsed_seconds();
@@ -237,10 +211,8 @@ impl RebalanceController {
                         totals[stage] += loads[layer].total_time();
                     }
                 }
-                if let Some(speeds) = stage_speeds {
-                    for (s, total) in totals.iter_mut().enumerate() {
-                        *total /= speeds.get(s).copied().unwrap_or(1.0);
-                    }
+                for (s, total) in totals.iter_mut().enumerate() {
+                    *total /= stage_speeds.get(s).copied().unwrap_or(1.0);
                 }
                 totals.into_iter().fold(0.0, f64::max)
             };
@@ -272,6 +244,18 @@ impl RebalanceController {
             rounds: outcome.rounds,
         }
     }
+}
+
+/// A per-stage vector fitted to `stages` entries: truncated, or extended by
+/// repeating its last entry (`empty` when it has none).
+fn fit_to_stages<T: Copy>(values: &[T], stages: usize, empty: T) -> Vec<T> {
+    let last = values.last().copied().unwrap_or(empty);
+    values
+        .iter()
+        .copied()
+        .chain(std::iter::repeat(last))
+        .take(stages)
+        .collect()
 }
 
 #[cfg(test)]
@@ -339,13 +323,12 @@ mod tests {
         let outcome = c.rebalance(
             &current,
             &loads,
-            u64::MAX,
             &[1; 4],
             &comm(),
             1,
             32,
-            None,
-            None,
+            &[1.0; 4],
+            &[u64::MAX; 4],
         );
         assert_eq!(outcome.active_workers, 4);
         assert!(outcome.released_workers.is_empty());
@@ -373,13 +356,12 @@ mod tests {
         let outcome = c.rebalance(
             &current,
             &loads,
-            u64::MAX,
             &[1; 8],
             &comm(),
             1,
             32,
-            None,
-            None,
+            &[1.0; 8],
+            &[u64::MAX; 8],
         );
         assert_eq!(outcome.active_workers, 2);
         assert_eq!(outcome.released_workers, vec![2, 3, 4, 5, 6, 7]);
@@ -400,13 +382,12 @@ mod tests {
         let outcome = c.rebalance(
             &current,
             &loads,
-            u64::MAX,
             &[1; 4],
             &comm(),
             3,
             32,
-            None,
-            None,
+            &[1.0; 4],
+            &[u64::MAX; 4],
         );
         assert_eq!(outcome.active_workers, 3);
     }

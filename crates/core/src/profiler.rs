@@ -129,15 +129,11 @@ impl StragglerDetector {
         self.speeds.get(stage).is_some_and(|&v| v < 1.0)
     }
 
-    /// Per-stage effective-speed downgrades, or `None` while every stage is
-    /// healthy (so homogeneous, straggler-free runs keep the speed-free
-    /// balancer path bit-for-bit).
-    pub fn downgrades(&self) -> Option<Vec<f64>> {
-        if self.speeds.iter().all(|&v| v == 1.0) {
-            None
-        } else {
-            Some(self.speeds.clone())
-        }
+    /// Per-stage effective-speed downgrades, one per stage: exactly 1.0 for
+    /// a healthy stage, so multiplying them into the device speeds leaves a
+    /// straggler-free run's speeds bit-for-bit unchanged.
+    pub fn downgrades(&self) -> &[f64] {
+        &self.speeds
     }
 }
 
@@ -269,7 +265,7 @@ mod tests {
                 .is_empty());
         }
         assert!(!detector.is_straggler(2));
-        assert!(detector.downgrades().is_none());
+        assert_eq!(detector.downgrades(), [1.0; 4]);
     }
 
     #[test]
@@ -284,7 +280,7 @@ mod tests {
         // Further slow rounds do not re-confirm.
         assert!(detector.observe(&observed, &expected).is_empty());
         assert!(detector.is_straggler(2));
-        assert_eq!(detector.downgrades(), Some(vec![1.0, 1.0, 0.5, 1.0]));
+        assert_eq!(detector.downgrades(), [1.0, 1.0, 0.5, 1.0]);
         // A confirmed straggler that looks healthy again (the balancer
         // unloaded it) keeps its downgrade.
         assert!(detector.observe(&expected, &expected).is_empty());
@@ -298,7 +294,7 @@ mod tests {
         for _ in 0..10 {
             assert!(detector.observe(&[1.0, 1.0], &[1.0, 1.0]).is_empty());
         }
-        assert!(detector.downgrades().is_none());
+        assert_eq!(detector.downgrades(), [1.0; 8]);
     }
 
     #[test]

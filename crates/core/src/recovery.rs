@@ -76,35 +76,17 @@ impl Default for RecoveryConfig {
     }
 }
 
-/// Re-plans the job after a failure or an elastic re-scale: rebuilds the
-/// balancer's view of the world from a checkpoint and prices the recovery.
+/// Re-plans the job after a failure or an elastic re-scale: re-runs the
+/// Partition balancer (by time) over loads rebuilt from a checkpoint and
+/// prices the recovery.
 pub struct RecoveryCoordinator {
-    balancer: Box<dyn LoadBalancer + Send + Sync>,
-    objective: BalanceObjective,
     config: RecoveryConfig,
 }
 
 impl RecoveryCoordinator {
-    /// Build a coordinator around an explicit balancer.
-    pub fn new(
-        balancer: Box<dyn LoadBalancer + Send + Sync>,
-        objective: BalanceObjective,
-        config: RecoveryConfig,
-    ) -> Self {
-        RecoveryCoordinator {
-            balancer,
-            objective,
-            config,
-        }
-    }
-
-    /// The default coordinator: Partition balancer, time objective.
+    /// The coordinator: Partition balancer, time objective.
     pub fn partition_by_time(config: RecoveryConfig) -> Self {
-        Self::new(
-            Box::new(PartitionBalancer::new()),
-            BalanceObjective::ByTime,
-            config,
-        )
+        RecoveryCoordinator { config }
     }
 
     /// The coordinator's configuration.
@@ -134,9 +116,10 @@ impl RecoveryCoordinator {
                 }
             })
             .collect();
-        let request = BalanceRequest::new(&loads, new_world_size, u64::MAX, self.objective)
-            .with_inflight(vec![1; new_world_size]);
-        self.balancer.rebalance(&request).assignment
+        let request =
+            BalanceRequest::new(&loads, new_world_size, u64::MAX, BalanceObjective::ByTime)
+                .with_inflight(vec![1; new_world_size]);
+        PartitionBalancer::new().rebalance(&request).assignment
     }
 
     /// Simulated cost of writing one checkpoint of `state`.

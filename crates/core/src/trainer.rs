@@ -506,31 +506,21 @@ impl Trainer {
         let hybrid = HybridThroughputModel::new(comm.clone(), self.config.allreduce_overlap);
         let model_cfg = self.model.config().clone();
 
-        // Heterogeneous-cluster speeds/capacities (known a priori from the
-        // device specs) plus the straggler detector (fed at runtime from
-        // observed vs. expected stage times).  All of this is `None` on a
-        // homogeneous, straggler-free run, which keeps that path bit-identical
-        // to the speed-free code.
-        let pipeline_stages = self.config.cluster.pipeline_stages;
+        // Per-stage speeds/capacities (known a priori from the device
+        // specs) plus the straggler detector (fed at runtime from observed
+        // vs. expected stage times).  On a uniform, straggler-free run every
+        // speed, downgrade and slowdown is exactly 1.0, and multiplying or
+        // dividing by 1.0 leaves every time bit-for-bit unchanged.
         let base_speeds = self.config.cluster.stage_speeds();
         let stage_capacities = self.config.cluster.stage_capacities();
-        let mut detector = StragglerDetector::new(pipeline_stages);
+        let mut detector = StragglerDetector::new(base_speeds.len());
         // Ground-truth per-stage compute slowdown the *simulator* applies:
         // the device generation's speed deficit plus any injected straggler.
-        let actual_slowdowns: Option<Vec<f64>> =
-            if base_speeds.is_none() && self.straggler_injection.is_none() {
-                None
-            } else {
-                Some(
-                    (0..pipeline_stages)
-                        .map(|s| {
-                            let speed = base_speeds.as_ref().map_or(1.0, |v| v[s]);
-                            let inject = self.straggler_injection.as_ref().map_or(1.0, |v| v[s]);
-                            inject / speed
-                        })
-                        .collect(),
-                )
-            };
+        let actual_slowdowns: Vec<f64> = base_speeds
+            .iter()
+            .enumerate()
+            .map(|(s, &speed)| self.straggler_injection.as_ref().map_or(1.0, |v| v[s]) / speed)
+            .collect();
 
         let mut assignment = self.initial_assignment.clone().unwrap_or_else(|| {
             StageAssignment::uniform(self.model.num_layers(), self.config.cluster.pipeline_stages)
@@ -641,7 +631,7 @@ impl Trainer {
                 let expected: Vec<f64> = ideal
                     .iter()
                     .enumerate()
-                    .map(|(s, &w)| w / base_speeds.as_ref().map_or(1.0, |v| v[s]))
+                    .map(|(s, &w)| w / base_speeds[s])
                     .collect();
                 let observed: Vec<f64> = expected
                     .iter()
@@ -681,30 +671,20 @@ impl Trainer {
                 // The balancer sees the device-spec speeds (known a priori)
                 // multiplied by the detector's confirmed downgrades — never
                 // the raw injection, which it has no way to observe directly.
-                let downgrades = detector.downgrades();
-                let effective_speeds: Option<Vec<f64>> =
-                    if base_speeds.is_none() && downgrades.is_none() {
-                        None
-                    } else {
-                        Some(
-                            (0..pipeline_stages)
-                                .map(|s| {
-                                    base_speeds.as_ref().map_or(1.0, |v| v[s])
-                                        * downgrades.as_ref().map_or(1.0, |v| v[s])
-                                })
-                                .collect(),
-                        )
-                    };
+                let effective_speeds: Vec<f64> = base_speeds
+                    .iter()
+                    .zip(detector.downgrades())
+                    .map(|(&base, &downgrade)| base * downgrade)
+                    .collect();
                 let outcome = self.controller.rebalance(
                     &assignment,
                     &loads,
-                    self.config.cluster.device.memory_capacity,
                     &inflight,
                     &comm,
                     self.config.min_workers,
                     self.config.num_microbatches,
-                    effective_speeds.as_deref(),
-                    stage_capacities.as_deref(),
+                    &effective_speeds,
+                    &stage_capacities,
                 );
                 let profiling_cost = self.profiler.profiling_cost(&loads);
                 overhead.record(
@@ -760,12 +740,9 @@ impl Trainer {
                 // injected straggler) stretches its stage's compute times in
                 // the simulated pipeline, whether or not the balancer has
                 // caught on yet.
-                if let Some(slowdowns) = &actual_slowdowns {
-                    for (s, load) in stage_loads.iter_mut().enumerate() {
-                        let factor = slowdowns.get(s).copied().unwrap_or(1.0);
-                        load.fwd_time *= factor;
-                        load.bwd_time *= factor;
-                    }
+                for (load, &factor) in stage_loads.iter_mut().zip(&actual_slowdowns) {
+                    load.fwd_time *= factor;
+                    load.bwd_time *= factor;
                 }
                 let report =
                     simulator.simulate(&model_cfg, &stage_loads, self.config.num_microbatches);

@@ -255,35 +255,22 @@ impl ClusterConfig {
         }
     }
 
-    /// Per-stage effective speeds relative to the reference device
-    /// (`None` on the homogeneous path: consumers must not perturb their
-    /// arithmetic when every speed would be exactly 1.0).
-    pub fn stage_speeds(&self) -> Option<Vec<f64>> {
-        self.devices.as_ref().map(|devices| {
-            devices
-                .iter()
-                .map(|d| d.sustained_flops / self.device.sustained_flops)
-                .collect()
-        })
+    /// Per-stage effective speeds relative to the reference device, one per
+    /// pipeline stage.  A uniform cluster gets exactly 1.0 everywhere, and
+    /// every consumer's speed arithmetic (`x / 1.0`, `x * 1.0`) is exact
+    /// there, so it needs no separate homogeneous path.
+    pub fn stage_speeds(&self) -> Vec<f64> {
+        (0..self.pipeline_stages)
+            .map(|s| self.device_of(s).sustained_flops / self.device.sustained_flops)
+            .collect()
     }
 
-    /// Per-stage memory capacities (`None` on the homogeneous path).
-    pub fn stage_capacities(&self) -> Option<Vec<u64>> {
-        self.devices
-            .as_ref()
-            .map(|devices| devices.iter().map(|d| d.memory_capacity).collect())
-    }
-
-    /// The smallest memory capacity of any stage.
-    pub fn min_memory_capacity(&self) -> u64 {
-        match &self.devices {
-            Some(devices) => devices
-                .iter()
-                .map(|d| d.memory_capacity)
-                .min()
-                .unwrap_or(self.device.memory_capacity),
-            None => self.device.memory_capacity,
-        }
+    /// Per-stage memory capacities in bytes, one per pipeline stage (the
+    /// reference device's capacity everywhere on a uniform cluster).
+    pub fn stage_capacities(&self) -> Vec<u64> {
+        (0..self.pipeline_stages)
+            .map(|s| self.device_of(s).memory_capacity)
+            .collect()
     }
 
     /// How many concurrent streams share an inter-node NIC when
@@ -409,9 +396,8 @@ mod tests {
     fn homogeneous_cluster_reports_no_heterogeneity() {
         let c = ClusterConfig::single_node(8);
         assert!(!c.is_heterogeneous());
-        assert!(c.stage_speeds().is_none());
-        assert!(c.stage_capacities().is_none());
-        assert_eq!(c.min_memory_capacity(), c.device.memory_capacity);
+        assert_eq!(c.stage_speeds(), vec![1.0; 8]);
+        assert_eq!(c.stage_capacities(), vec![c.device.memory_capacity; 8]);
         assert_eq!(c.device_of(3), &c.device);
         assert_eq!(c.inter_contention_factor(), 1.0);
     }
@@ -425,7 +411,7 @@ mod tests {
         assert_eq!(c.device_of(3), &DeviceSpec::h100_sxm5());
         assert_eq!(c.device_of(4), &DeviceSpec::a100_sxm4());
         assert_eq!(c.device_of(7), &DeviceSpec::a100_sxm4());
-        let speeds = c.stage_speeds().unwrap();
+        let speeds = c.stage_speeds();
         assert_eq!(speeds[0], 1.0);
         assert!((speeds[7] - 0.5).abs() < 1e-12);
     }
@@ -439,10 +425,10 @@ mod tests {
         assert_eq!(c.device_of(11), &DeviceSpec::v100_sxm2());
         // The oldest generation bounds the memory floor.
         assert_eq!(
-            c.min_memory_capacity(),
-            DeviceSpec::v100_sxm2().memory_capacity
+            c.stage_capacities().into_iter().min(),
+            Some(DeviceSpec::v100_sxm2().memory_capacity)
         );
-        let speeds = c.stage_speeds().unwrap();
+        let speeds = c.stage_speeds();
         assert!(speeds[11] < speeds[5] && speeds[5] < speeds[0]);
     }
 
@@ -450,8 +436,12 @@ mod tests {
     fn all_equal_devices_count_as_heterogeneous_never() {
         let c = ClusterConfig::single_node(4).with_devices(vec![DeviceSpec::h100_sxm5(); 4]);
         assert!(!c.is_heterogeneous());
-        // But the per-stage views still exist and are all-1.0 / uniform.
-        assert!(c.stage_speeds().unwrap().iter().all(|&s| s == 1.0));
+        // And the per-stage views match an implicit uniform cluster's.
+        assert_eq!(c.stage_speeds(), vec![1.0; 4]);
+        assert_eq!(
+            c.stage_capacities(),
+            ClusterConfig::single_node(4).stage_capacities()
+        );
     }
 
     #[test]

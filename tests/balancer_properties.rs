@@ -1,7 +1,16 @@
 //! Property-based tests (proptest) for DynMo's core invariants:
 //! the partition and diffusion balancers, the re-packing pass, and the
 //! sparse-tensor primitives used by global pruning.
+//!
+//! The balancers have one code path each, with per-stage speeds and
+//! capacities as plain data.  The homogeneous arithmetic they replaced
+//! lives on here as oracles: [`oracle_partition`] (DeepSpeed's speed-free
+//! `partition_balanced`) and [`oracle_diffusion`] (the diffusion loop with a
+//! full O(p²) potential recompute per candidate move).  On a uniform
+//! request both balancers must match them bit for bit.
 
+use dynmo::core::balancer::diffusion::potential;
+use dynmo::core::balancer::partition::partition_balanced;
 use dynmo::core::balancer::{
     stage_weights, BalanceObjective, BalanceRequest, DiffusionBalancer, LoadBalancer,
     PartitionBalancer,
@@ -29,6 +38,153 @@ fn loads_from_times(times: &[f64]) -> Vec<LayerLoad> {
             migration_bytes: ((t * 1.0e6) as u64 + 1) * 16,
         })
         .collect()
+}
+
+/// Homogeneous greedy probe: can `weights` be split into at most `parts`
+/// contiguous groups each of sum ≤ `limit`?
+fn oracle_feasible(weights: &[f64], parts: usize, limit: f64) -> bool {
+    let mut used = 1usize;
+    let mut current = 0.0f64;
+    for &w in weights {
+        if w > limit {
+            return false;
+        }
+        if current + w > limit {
+            used += 1;
+            current = w;
+            if used > parts {
+                return false;
+            }
+        } else {
+            current += w;
+        }
+    }
+    true
+}
+
+/// The homogeneous `partition_balanced`: split `weights` into exactly
+/// `parts` contiguous groups minimizing the maximum group sum (bisection on
+/// the bottleneck plus a greedy walk); returns per-group counts.
+fn oracle_partition(weights: &[f64], parts: usize) -> Vec<usize> {
+    if weights.is_empty() {
+        return vec![0; parts];
+    }
+    let total: f64 = weights.iter().sum();
+    let max_single = weights.iter().copied().fold(0.0, f64::max);
+    let mut lo = max_single.max(total / parts as f64);
+    let mut hi = total;
+    for _ in 0..64 {
+        let mid = 0.5 * (lo + hi);
+        if oracle_feasible(weights, parts, mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    let limit = hi * (1.0 + 1e-12);
+    let mut counts = Vec::with_capacity(parts);
+    let mut current = 0.0f64;
+    let mut count = 0usize;
+    for &w in weights {
+        if count > 0 && current + w > limit && counts.len() < parts - 1 {
+            counts.push(count);
+            count = 0;
+            current = 0.0;
+        }
+        count += 1;
+        current += w;
+    }
+    counts.push(count);
+    counts.resize(parts, 0);
+    counts
+}
+
+/// Max per-group sum of a split.
+fn oracle_bottleneck(weights: &[f64], counts: &[usize]) -> f64 {
+    let mut best = 0.0f64;
+    let mut idx = 0usize;
+    for &c in counts {
+        best = best.max(weights[idx..idx + c].iter().sum());
+        idx += c;
+    }
+    best
+}
+
+/// The homogeneous diffusion balancer on a request without memory limits:
+/// raw stage weights as loads, `(w, w)` moves, and φ recomputed in full for
+/// every candidate.  Returns (assignment, rounds, bottleneck).
+fn oracle_diffusion(request: &BalanceRequest<'_>) -> (StageAssignment, u64, f64) {
+    let balancer = DiffusionBalancer::new();
+    let num_layers = request.loads.len();
+    let mut assignment = match request.current {
+        Some(current)
+            if current.num_stages() == request.num_stages && current.num_layers() == num_layers =>
+        {
+            current.clone()
+        }
+        _ => StageAssignment::uniform(num_layers, request.num_stages),
+    };
+    let weights: Vec<f64> = (0..num_layers).map(|l| request.weight(l)).collect();
+    let total: f64 = weights.iter().sum();
+    let gamma = balancer.gamma_fraction * total;
+    let mut loads = stage_weights(&assignment, request.loads, request.objective);
+    let mut phi = potential(&loads);
+    let mut rounds = 0u64;
+    let evaluate =
+        |assignment: &StageAssignment, loads: &[f64], phi: f64, from: usize, to: usize| {
+            let layers = assignment.layers_of(from);
+            let layer = if to < from {
+                *layers.first()?
+            } else {
+                *layers.last()?
+            };
+            let w = weights[layer];
+            let mut new_loads = loads.to_vec();
+            new_loads[from] -= w;
+            new_loads[to] += w;
+            let new_phi = potential(&new_loads);
+            (new_phi < phi - 1e-15).then_some((layer, new_phi, w))
+        };
+    let ordered = |loads: &[f64], s: usize| {
+        if loads[s] >= loads[s + 1] {
+            (s, s + 1)
+        } else {
+            (s + 1, s)
+        }
+    };
+    while rounds < balancer.max_rounds && phi > gamma {
+        rounds += 1;
+        let mut best: Option<(usize, f64)> = None;
+        for s in 0..request.num_stages.saturating_sub(1) {
+            let gap = (loads[s] - loads[s + 1]).abs();
+            if best.is_none_or(|(_, g)| gap > g) {
+                best = Some((s, gap));
+            }
+        }
+        let Some((left, _)) = best else {
+            break;
+        };
+        let (from, to) = ordered(&loads, left);
+        let mut committed = evaluate(&assignment, &loads, phi, from, to).map(|m| (m, from, to));
+        if committed.is_none() {
+            for s in 0..request.num_stages.saturating_sub(1) {
+                let (from, to) = ordered(&loads, s);
+                if let Some(m) = evaluate(&assignment, &loads, phi, from, to) {
+                    committed = Some((m, from, to));
+                    break;
+                }
+            }
+        }
+        let Some(((layer, new_phi, w), from, to)) = committed else {
+            break;
+        };
+        assignment.move_layer(layer, to).expect("valid move");
+        loads[from] -= w;
+        loads[to] += w;
+        phi = new_phi;
+    }
+    let bottleneck = loads.iter().copied().fold(0.0, f64::max);
+    (assignment, rounds, bottleneck)
 }
 
 fn arbitrary_times() -> impl Strategy<Value = Vec<f64>> {
@@ -318,8 +474,9 @@ proptest! {
         };
         let phi = dynmo::core::balancer::diffusion::potential(&loads);
         let w = f64::from(weight);
-        let incremental =
-            dynmo::core::balancer::diffusion::potential_after_move(&loads, phi, from, to, w);
+        let incremental = dynmo::core::balancer::diffusion::potential_after_asymmetric_move(
+            &loads, phi, from, to, w, w,
+        );
         let mut moved = loads.clone();
         moved[from] -= w;
         moved[to] += w;
@@ -333,10 +490,11 @@ proptest! {
         );
     }
 
-    /// Heterogeneous balancing with all-equal `DeviceSpec`s is bit-identical
-    /// to the homogeneous path: both balancers produce the same assignments
-    /// and bottlenecks, and the explicit-device cluster simulates the same
-    /// makespan bit-for-bit under all four pipeline schedules.
+    /// An explicit cluster of all-equal `DeviceSpec`s simulates the same
+    /// makespan bit-for-bit as the implicit uniform cluster under all four
+    /// pipeline schedules, for the assignments both balancers produce.
+    /// (That a uniform request balances exactly like the speed-free
+    /// arithmetic is pinned by the oracle properties below.)
     #[test]
     fn equal_device_hetero_path_matches_homogeneous_bit_for_bit(
         times in arbitrary_times(),
@@ -345,12 +503,8 @@ proptest! {
         let loads = loads_from_times(&times);
         let stages = stages.min(loads.len());
         let current = StageAssignment::uniform(loads.len(), stages);
-        let base = BalanceRequest::new(&loads, stages, u64::MAX, BalanceObjective::ByTime)
+        let request = BalanceRequest::new(&loads, stages, u64::MAX, BalanceObjective::ByTime)
             .with_current(&current);
-        let weighted = base
-            .clone()
-            .with_stage_speeds(Some(vec![1.0; stages]))
-            .with_stage_capacities(Some(vec![u64::MAX; stages]));
 
         let homogeneous_cluster =
             ClusterConfig::homogeneous(2, stages, 1, DeviceSpec::h100_sxm5());
@@ -358,24 +512,15 @@ proptest! {
             .clone()
             .with_devices(vec![DeviceSpec::h100_sxm5(); stages]);
 
-        for (homogeneous, hetero) in [
-            (
-                PartitionBalancer::new().rebalance(&base),
-                PartitionBalancer::new().rebalance(&weighted),
-            ),
-            (
-                DiffusionBalancer::new().rebalance(&base),
-                DiffusionBalancer::new().rebalance(&weighted),
-            ),
+        for outcome in [
+            PartitionBalancer::new().rebalance(&request),
+            DiffusionBalancer::new().rebalance(&request),
         ] {
-            prop_assert_eq!(&homogeneous.assignment, &hetero.assignment);
-            prop_assert_eq!(homogeneous.bottleneck.to_bits(), hetero.bottleneck.to_bits());
-
             // Same assignment simulated on the homogeneous cluster and on
             // the explicit equal-device cluster: identical makespans under
             // every schedule.
             let mut stage_loads = vec![StageLoad::default(); stages];
-            for (layer, &stage) in homogeneous.assignment.layer_to_stage().iter().enumerate() {
+            for (layer, &stage) in outcome.assignment.layer_to_stage().iter().enumerate() {
                 stage_loads[stage].add_layer(&loads[layer]);
             }
             let model = ModelConfig::gpt(loads.len());
@@ -407,9 +552,10 @@ proptest! {
         }
     }
 
-    /// The incremental-potential fast path commits exactly the moves the
-    /// legacy full-recompute path commits: identical assignments, round
-    /// counts, and bottlenecks on arbitrary workloads.
+    /// The diffusion balancer on a uniform request commits exactly the
+    /// moves of the homogeneous full-recompute oracle: identical
+    /// assignments, round counts, and bottleneck bits on arbitrary
+    /// workloads.
     #[test]
     fn diffusion_incremental_path_matches_full_path(
         times in arbitrary_times(),
@@ -420,14 +566,105 @@ proptest! {
         let current = StageAssignment::uniform(loads.len(), stages);
         let request = BalanceRequest::new(&loads, stages, u64::MAX, BalanceObjective::ByTime)
             .with_current(&current);
-        let incremental = DiffusionBalancer::new().rebalance(&request);
-        let full = DiffusionBalancer {
-            use_incremental_potential: false,
-            ..DiffusionBalancer::new()
+        let outcome = DiffusionBalancer::new().rebalance(&request);
+        let (assignment, rounds, bottleneck) = oracle_diffusion(&request);
+        prop_assert_eq!(outcome.assignment, assignment);
+        prop_assert_eq!(outcome.rounds, rounds);
+        prop_assert_eq!(outcome.bottleneck.to_bits(), bottleneck.to_bits());
+    }
+
+    /// The partition balancer on a uniform request equals the homogeneous
+    /// `partition_balanced` oracle in assignment and bottleneck bits, under
+    /// both objectives, including more stages than layers; so does the bare
+    /// `partition_balanced` with unit speeds.
+    #[test]
+    fn partition_matches_the_homogeneous_oracle(
+        times in arbitrary_times(),
+        stages in 1usize..80,
+        zeroed in prop::collection::vec(0usize..64, 0..4),
+    ) {
+        let mut loads = loads_from_times(&times);
+        // Zero-weight layers (fully pruned or released) are legal input.
+        for &z in &zeroed {
+            let layer = z % loads.len();
+            loads[layer].fwd_time = 0.0;
+            loads[layer].bwd_time = 0.0;
         }
-        .rebalance(&request);
-        prop_assert_eq!(incremental.assignment, full.assignment);
-        prop_assert_eq!(incremental.rounds, full.rounds);
-        prop_assert_eq!(incremental.bottleneck.to_bits(), full.bottleneck.to_bits());
+        for objective in [BalanceObjective::ByTime, BalanceObjective::ByParams] {
+            let request = BalanceRequest::new(&loads, stages, u64::MAX, objective);
+            let weights: Vec<f64> = (0..loads.len()).map(|l| request.weight(l)).collect();
+            let expected = oracle_partition(&weights, stages);
+            prop_assert_eq!(&partition_balanced(&weights, &vec![1.0; stages]), &expected);
+            let outcome = PartitionBalancer::new().rebalance(&request);
+            prop_assert_eq!(outcome.assignment.counts(), expected.clone());
+            prop_assert_eq!(
+                outcome.bottleneck.to_bits(),
+                oracle_bottleneck(&weights, &expected).to_bits()
+            );
+        }
+        prop_assert_eq!(oracle_partition(&[], stages), vec![0; stages]);
+        prop_assert_eq!(partition_balanced(&[], &vec![1.0; stages]), vec![0; stages]);
+    }
+
+    /// When the weight-balanced split does not fit in memory, the partition
+    /// balancer re-splits by bytes.  With equal capacities that is the
+    /// homogeneous oracle over the memory weights; with mixed capacities it
+    /// is the same split as passing the raw byte capacities as speeds.
+    #[test]
+    fn memory_fallback_matches_the_oracle_and_raw_capacity_split(
+        times in arbitrary_times(),
+        stages in 2usize..12,
+        generations in prop::collection::vec(0usize..5, 12..13),
+        inflight in 1usize..5,
+        slack in 0.8f64..1.3,
+    ) {
+        const GIB: u64 = 1 << 30;
+        let sizes = [80 * GIB, 40 * GIB, 32 * GIB, 24 * GIB, 20 * GIB];
+        let stages = stages.min(times.len());
+        let total_time: f64 = times.iter().sum();
+        for capacities in [
+            vec![sizes[generations[0]]; stages],
+            (0..stages).map(|s| sizes[generations[s]]).collect::<Vec<u64>>(),
+        ] {
+            // Layer bytes proportional to layer time, summing to `slack`
+            // times the cluster's memory, so the by-time split often
+            // overflows some stage and the fallback engages.
+            let budget = capacities.iter().sum::<u64>() as f64 * slack;
+            let loads: Vec<LayerLoad> = loads_from_times(&times)
+                .into_iter()
+                .zip(&times)
+                .map(|(mut l, &t)| {
+                    l.static_bytes = (t / total_time * budget) as u64;
+                    l.activation_bytes = 1 << 20;
+                    l
+                })
+                .collect();
+            let mem_bytes: Vec<u64> = loads
+                .iter()
+                .map(|l| l.static_bytes + l.activation_bytes * inflight as u64)
+                .collect();
+            let mem_weights: Vec<f64> = mem_bytes.iter().map(|&b| b as f64).collect();
+            let request = BalanceRequest::new(&loads, stages, u64::MAX, BalanceObjective::ByTime)
+                .with_inflight(vec![inflight; stages])
+                .with_stage_capacities(capacities.clone());
+            let time_weights: Vec<f64> = (0..loads.len()).map(|l| request.weight(l)).collect();
+            let by_time = partition_balanced(&time_weights, &vec![1.0; stages]);
+            let mut first = 0usize;
+            let fits = by_time.iter().zip(&capacities).all(|(&count, &capacity)| {
+                let bytes: u64 = mem_bytes[first..first + count].iter().sum();
+                first += count;
+                bytes <= capacity
+            });
+            let expected = if fits {
+                by_time
+            } else if capacities.iter().all(|&c| c == capacities[0]) {
+                oracle_partition(&mem_weights, stages)
+            } else {
+                let raw: Vec<f64> = capacities.iter().map(|&c| c as f64).collect();
+                partition_balanced(&mem_weights, &raw)
+            };
+            let outcome = PartitionBalancer::new().rebalance(&request);
+            prop_assert_eq!(outcome.assignment.counts(), expected);
+        }
     }
 }
