@@ -293,6 +293,17 @@ impl SharedState {
             recorder,
         }
     }
+
+    /// The overhead accounting with the store's measured wall-clock I/O
+    /// folded into the diagnostic companion; the modeled `recovery` bucket
+    /// is untouched.
+    fn overhead_with_io(&self) -> OverheadBreakdown {
+        let mut overhead = *self.overhead.lock();
+        let store = self.store.lock();
+        overhead.measured.checkpoint_io_seconds += store.io_seconds();
+        overhead.measured.samples += store.io_ops();
+        overhead
+    }
 }
 
 /// Per-rank result of the harness.
@@ -441,9 +452,22 @@ fn weights_checksum(layers: &[LayerState]) -> u64 {
     dynmo_resilience::fnv1a(buffer)
 }
 
-/// Layers owned by `stage` under `assignment`.
-fn owned_layers(assignment: &StageAssignment, stage: usize) -> Vec<usize> {
-    assignment.layers_of(stage)
+/// Update the layers this rank owns under `assignment` for `iteration`, then
+/// all-reduce the training loss over `comm`.
+fn train_owned_layers(
+    comm: &Communicator,
+    assignment: &StageAssignment,
+    layers: &mut [LayerState],
+    iteration: u64,
+    workload: &WorkloadConfig,
+) -> Result<f32, RuntimeError> {
+    let owned = assignment.layers_of(comm.rank());
+    for &l in &owned {
+        apply_schedules(&mut layers[l], iteration, workload);
+        train_step(&mut layers[l], iteration);
+    }
+    let partial: f32 = owned.iter().map(|&l| layer_loss(&layers[l])).sum();
+    Ok(comm.allreduce_sum_f32(&[partial])?[0])
 }
 
 /// Gather every stage's fresh layer states onto local rank 0 and assemble
@@ -455,7 +479,8 @@ fn gather_full_state(
     iteration: u64,
     loss: f32,
 ) -> Result<Option<TrainerState>, RuntimeError> {
-    let mine: Vec<&LayerState> = owned_layers(assignment, comm.rank())
+    let mine: Vec<&LayerState> = assignment
+        .layers_of(comm.rank())
         .into_iter()
         .map(|l| &layers[l])
         .collect();
@@ -486,6 +511,34 @@ fn gather_full_state(
         metrics,
         engine: None,
     }))
+}
+
+/// Conclude a run: rank 0 of `comm` assembles the final state, hashes it,
+/// and broadcasts the checksum so every member reports the same value.
+fn conclude(
+    comm: &Communicator,
+    assignment: StageAssignment,
+    layers: &[LayerState],
+    iteration: u64,
+    loss: f32,
+) -> Result<RankOutcome, RuntimeError> {
+    let final_state = gather_full_state(comm, &assignment, layers, iteration, loss)?;
+    let summary_payload = if let Some(state) = &final_state {
+        Payload::U64(vec![
+            weights_checksum(&state.layers),
+            assignment_imbalance(&assignment, &state.layers).to_bits(),
+        ])
+    } else {
+        Payload::Empty
+    };
+    let summary = comm.broadcast(0, summary_payload)?.into_u64()?;
+    Ok(RankOutcome {
+        loss,
+        world_size: comm.size(),
+        assignment,
+        weights_checksum: summary[0],
+        imbalance: f64::from_bits(summary[1]),
+    })
 }
 
 /// Save `state` (rank 0 only), pricing the write into the recovery bucket.
@@ -567,23 +620,10 @@ pub fn run_resilient_recorded(
         RuntimeError::InvalidArgument("no rank survived the resilient run".to_string())
     })?;
 
-    let shared = Arc::try_unwrap(shared).unwrap_or_else(|arc| SharedState {
-        store: Mutex::new(arc.store.lock().clone()),
-        job_manager: Mutex::new(arc.job_manager.lock().clone()),
-        overhead: Mutex::new(*arc.overhead.lock()),
-        recoveries: Mutex::new(arc.recoveries.lock().clone()),
-        checkpoints_taken: AtomicU64::new(arc.checkpoints_taken.load(Ordering::SeqCst)),
-        replayed_iterations: AtomicU64::new(arc.replayed_iterations.load(Ordering::SeqCst)),
-        recorder: Arc::clone(&arc.recorder),
-    });
-    let mut overhead = shared.overhead.into_inner();
-    {
-        // Fold the store's measured wall-clock I/O into the diagnostic
-        // companion; the modeled `recovery` bucket is untouched.
-        let store = shared.store.lock();
-        overhead.measured.checkpoint_io_seconds += store.io_seconds();
-        overhead.measured.samples += store.io_ops();
-    }
+    // `launch` dropped the rank closure, the only other owner, before it
+    // returned.
+    let shared = Arc::into_inner(shared).expect("rank closure released the shared state");
+    let overhead = shared.overhead_with_io();
     Ok(ResilientRunReport {
         initial_world_size: config.world_size,
         final_world_size: outcome.world_size,
@@ -663,27 +703,7 @@ fn rank_body(
         }
     }
 
-    // Conclude: rank 0 of the final communicator assembles the final state,
-    // hashes it, and broadcasts the checksum so every survivor reports the
-    // same value.
-    let final_state = gather_full_state(&comm, &assignment, &layers, iteration, loss)?;
-    let summary_payload = if let Some(state) = &final_state {
-        Payload::U64(vec![
-            weights_checksum(&state.layers),
-            assignment_imbalance(&assignment, &state.layers).to_bits(),
-        ])
-    } else {
-        Payload::Empty
-    };
-    let summary = comm.broadcast(0, summary_payload)?.into_u64()?;
-
-    Ok(Some(RankOutcome {
-        loss,
-        world_size: comm.size(),
-        assignment,
-        weights_checksum: summary[0],
-        imbalance: f64::from_bits(summary[1]),
-    }))
+    conclude(&comm, assignment, &layers, iteration, loss).map(Some)
 }
 
 /// One training iteration: fault tick, schedules, local updates, global
@@ -700,15 +720,7 @@ fn run_iteration(
     shared: &SharedState,
 ) -> Result<f32, RuntimeError> {
     injector.tick(comm.my_global_rank(), iteration)?;
-
-    let owned = owned_layers(assignment, comm.rank());
-    for &l in &owned {
-        apply_schedules(&mut layers[l], iteration, &config.workload);
-        train_step(&mut layers[l], iteration);
-    }
-
-    let partial: f32 = owned.iter().map(|&l| layer_loss(&layers[l])).sum();
-    let loss = comm.allreduce_sum_f32(&[partial])?[0];
+    let loss = train_owned_layers(comm, assignment, layers, iteration, &config.workload)?;
 
     // Checkpoint after every `interval` *completed* iterations.  The stored
     // `iteration` field is the next iteration to execute, so a restore
@@ -919,12 +931,7 @@ pub fn run_elastic_rescale(
     let job_manager = shared.job_manager.lock().clone();
     let average_allocated = job_manager.average_allocated(config.iterations);
     let layers_conserved = *conserved.lock();
-    let mut overhead = *shared.overhead.lock();
-    {
-        let store = shared.store.lock();
-        overhead.measured.checkpoint_io_seconds += store.io_seconds();
-        overhead.measured.samples += store.io_ops();
-    }
+    let overhead = shared.overhead_with_io();
     Ok(ElasticRescaleReport {
         phase_world_sizes: vec![config.world_size, config.shrink_to, config.world_size],
         layers_conserved,
@@ -946,7 +953,8 @@ fn elastic_rank_body(
 ) -> Result<RankOutcome, RuntimeError> {
     let world = ctx.world();
     let me = ctx.rank();
-    let mut layers = init_layers(&config.workload);
+    let workload = &config.workload;
+    let mut layers = init_layers(workload);
     let mut loss: f32 = 0.0;
 
     let check_conservation = |assignment: &StageAssignment| {
@@ -959,7 +967,7 @@ fn elastic_rank_body(
     let assignment = StageAssignment::uniform(config.workload.num_layers, config.world_size);
     check_conservation(&assignment);
     for iteration in 0..config.shrink_at {
-        loss = train_phase_iteration(&world, &assignment, &mut layers, iteration, config)?;
+        loss = train_owned_layers(&world, &assignment, &mut layers, iteration, workload)?;
     }
     // Checkpoint at the shrink boundary, then split off the released ranks.
     if let Some(state) = gather_full_state(&world, &assignment, &layers, config.shrink_at, loss)? {
@@ -994,12 +1002,12 @@ fn elastic_rank_body(
         check_conservation(&shrunken_assignment);
         layers = state.layers;
         for iteration in config.shrink_at..config.grow_at {
-            loss = train_phase_iteration(
+            loss = train_owned_layers(
                 active,
                 &shrunken_assignment,
                 &mut layers,
                 iteration,
-                config,
+                workload,
             )?;
         }
         if let Some(state) =
@@ -1039,45 +1047,10 @@ fn elastic_rank_body(
     check_conservation(&grown_assignment);
     layers = state.layers;
     for iteration in config.grow_at..config.iterations {
-        loss = train_phase_iteration(&world, &grown_assignment, &mut layers, iteration, config)?;
+        loss = train_owned_layers(&world, &grown_assignment, &mut layers, iteration, workload)?;
     }
 
-    let final_state =
-        gather_full_state(&world, &grown_assignment, &layers, config.iterations, loss)?;
-    let summary_payload = if let Some(state) = &final_state {
-        Payload::U64(vec![
-            weights_checksum(&state.layers),
-            assignment_imbalance(&grown_assignment, &state.layers).to_bits(),
-        ])
-    } else {
-        Payload::Empty
-    };
-    let summary = world.broadcast(0, summary_payload)?.into_u64()?;
-
-    Ok(RankOutcome {
-        loss,
-        world_size: world.size(),
-        assignment: grown_assignment,
-        weights_checksum: summary[0],
-        imbalance: f64::from_bits(summary[1]),
-    })
-}
-
-/// One iteration of an elastic phase (no fault injection).
-fn train_phase_iteration(
-    comm: &Communicator,
-    assignment: &StageAssignment,
-    layers: &mut [LayerState],
-    iteration: u64,
-    config: &ElasticRescaleConfig,
-) -> Result<f32, RuntimeError> {
-    let owned = owned_layers(assignment, comm.rank());
-    for &l in &owned {
-        apply_schedules(&mut layers[l], iteration, &config.workload);
-        train_step(&mut layers[l], iteration);
-    }
-    let partial: f32 = owned.iter().map(|&l| layer_loss(&layers[l])).sum();
-    Ok(comm.allreduce_sum_f32(&[partial])?[0])
+    conclude(&world, grown_assignment, &layers, config.iterations, loss)
 }
 
 #[cfg(test)]

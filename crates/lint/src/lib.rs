@@ -8,8 +8,8 @@
 //!    `unsafe fn`s are exempt: their obligations live in `# Safety` docs).
 //! 2. **`ordering-relaxed`** — every `Ordering::Relaxed` in shim source
 //!    carries an `// ORDERING:` comment justifying why the weakest ordering
-//!    suffices.  Relaxed is the ordering most likely to be cargo-culted; the
-//!    loom suite can only check protocols someone thought to model.
+//!    suffices.  Relaxed is the ordering most likely to be cargo-culted,
+//!    and no test run reliably exposes a too-weak ordering.
 //! 3. **`wall-clock`** — no `std::time::Instant`/`SystemTime` outside the
 //!    telemetry stopwatch, the bench binaries, and the criterion shim.  The
 //!    repo's determinism contract (byte-identical sweep artifacts across
@@ -18,8 +18,8 @@
 //!    `// LINT: allow(wall-clock)` on or just above the line waives a
 //!    legitimate site (e.g. a lock-acquisition timeout).
 //! 4. **`std-mutex`** — no direct `std::sync::Mutex` outside `shims/`:
-//!    workspace crates go through the shim facades, which is what makes the
-//!    loom model-check instrumentation reach them.
+//!    workspace crates go through the `parking_lot` facade, which gives one
+//!    poison-free lock API and one swap point for the real crate.
 //!
 //! The scanner is a comment/string-aware lexer, not a parser: it splits each
 //! line into code and comment parts (handling nested block comments, raw
@@ -358,8 +358,9 @@ pub fn lint_source(rel_path: &Path, source: &str) -> Vec<Violation> {
                 push(
                     idx,
                     "std-mutex",
-                    "direct `std::sync::Mutex` outside shims/ — use the shim \
-                     facades so loom instrumentation reaches this lock",
+                    "direct `std::sync::Mutex` outside shims/ — use the \
+                     `parking_lot` facade: one poison-free lock API and one \
+                     swap point for the real crate",
                 );
             }
         }
@@ -499,15 +500,14 @@ mod tests {
     fn relaxed_ordering_needs_justification_in_shim_src_only() {
         let bad = "fn f(a: &AtomicUsize) { a.load(Ordering::Relaxed); }\n";
         assert_eq!(
-            rules(&lint_at("shims/crossbeam/src/deque.rs", bad)),
+            rules(&lint_at("shims/rayon/src/lib.rs", bad)),
             ["ordering-relaxed"]
         );
         let good = "// ORDERING: Relaxed — owner-local counter.\n\
                     fn f(a: &AtomicUsize) { a.load(Ordering::Relaxed); }\n";
-        assert!(lint_at("shims/crossbeam/src/deque.rs", good).is_empty());
-        // Outside shim src (e.g. shim model tests seeding mutations) it is
-        // free.
-        assert!(lint_at("shims/crossbeam/tests/loom_deque.rs", bad).is_empty());
+        assert!(lint_at("shims/rayon/src/lib.rs", good).is_empty());
+        // Outside shim src (e.g. a shim's integration tests) it is free.
+        assert!(lint_at("shims/rayon/tests/par_map.rs", bad).is_empty());
         assert!(lint_at("crates/core/src/lib.rs", bad).is_empty());
     }
 
@@ -553,7 +553,7 @@ mod tests {
             rules(&lint_at("crates/core/src/lib.rs", import)),
             ["std-mutex"]
         );
-        assert!(lint_at("shims/crossbeam/src/lib.rs", direct).is_empty());
+        assert!(lint_at("shims/parking_lot/src/lib.rs", direct).is_empty());
         // Arc-only imports are fine.
         assert!(lint_at("crates/core/src/lib.rs", "use std::sync::Arc;\n").is_empty());
     }

@@ -111,6 +111,51 @@ proptest! {
     }
 }
 
+proptest! {
+    // Each case decodes every strict prefix and every valid-UTF-8 single-bit
+    // flip of its checkpoint text, thousands of decodes in all.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn truncated_or_bit_flipped_json_is_rejected_or_decodes_identically(
+        iteration in 0u64..1_000_000,
+        stages in 1usize..4,
+        weights in prop::collection::vec(-1.0e6f32..1.0e6, 1..8),
+        mask_seed in 0u64..u64::MAX,
+    ) {
+        let state = build_state(iteration, stages, &[weights], mask_seed, &[0.25]);
+        let text = Checkpoint::new(state.clone()).unwrap().to_json().unwrap();
+        for len in 0..text.len() {
+            if let Some(prefix) = text.get(..len) {
+                assert_rejected_or_identical(prefix, &state, &format!("prefix of {len} bytes"));
+            }
+        }
+        let mut bytes = text.into_bytes();
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                bytes[at] ^= 1 << bit;
+                if let Ok(flipped) = std::str::from_utf8(&bytes) {
+                    assert_rejected_or_identical(flipped, &state, &format!("bit {bit} of byte {at}"));
+                }
+                bytes[at] ^= 1 << bit;
+            }
+        }
+    }
+}
+
+/// Decode damaged checkpoint text: the decoder must not panic, and whatever
+/// it accepts must be the original state bit for bit.
+fn assert_rejected_or_identical(text: &str, original: &TrainerState, damage: &str) {
+    let decoded = std::panic::catch_unwind(|| {
+        Checkpoint::from_json(text).and_then(|checkpoint| checkpoint.verify().cloned())
+    });
+    match decoded {
+        Err(_) => panic!("decoder panicked on {damage}"),
+        Ok(Ok(state)) => assert_bit_identical(original, &state),
+        Ok(Err(_)) => {}
+    }
+}
+
 #[test]
 fn disk_store_round_trip_is_bit_for_bit() {
     let dir =

@@ -2,14 +2,14 @@
 //!
 //! The fabric plays the role of the interconnect (NVLink/NVSwitch within a
 //! node, InfiniBand across nodes in the paper's testbed): it owns one inbox
-//! channel per rank and routes [`Envelope`]s to them.  Delivery is reliable
-//! and per-sender ordered, which matches NCCL P2P semantics closely enough
-//! for the algorithms reproduced here.
+//! per rank, a `std::sync::mpsc` channel that only that rank reads, and
+//! routes [`Envelope`]s to them.  Delivery is reliable and per-sender
+//! ordered, which matches NCCL P2P semantics closely enough for the
+//! algorithms reproduced here.
 
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::error::{Result, RuntimeError};
 use crate::fault::FailureDetector;
@@ -65,7 +65,7 @@ impl Fabric {
         let mut senders = Vec::with_capacity(world_size);
         let mut receivers = Vec::with_capacity(world_size);
         for _ in 0..world_size {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             receivers.push(rx);
         }
@@ -222,11 +222,11 @@ impl Endpoint {
                     }
                     self.pending.push(envelope);
                 }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+                Err(RecvTimeoutError::Timeout) => {
                     // Just a poll slice elapsing; loop to re-check the
                     // detector and the overall deadline.
                 }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
+                Err(RecvTimeoutError::Disconnected) => {
                     return Err(RuntimeError::Disconnected { rank: self.rank });
                 }
             }

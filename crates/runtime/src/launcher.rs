@@ -63,7 +63,7 @@ where
 /// [`Fabric::with_timeout`] for tests that need short deadlock timeouts).
 pub fn launch_with_fabric<R, F>(
     fabric: Arc<Fabric>,
-    inboxes: Vec<crossbeam::channel::Receiver<crate::fabric::Envelope>>,
+    inboxes: Vec<std::sync::mpsc::Receiver<crate::fabric::Envelope>>,
     body: F,
 ) -> Result<Vec<R>>
 where

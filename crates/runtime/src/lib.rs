@@ -9,7 +9,7 @@
 //! splitting (`ncclCommSplit`) to release GPUs after re-packing.  None of
 //! those require a GPU: they only require *rank and communicator semantics*.
 //! This crate provides exactly those semantics on top of OS threads and
-//! crossbeam channels, so that DynMo's distributed algorithms (Algorithm 1
+//! `std::sync::mpsc` channels, so that DynMo's distributed algorithms (Algorithm 1
 //! global magnitude pruning, Algorithm 2 re-packing, layer migration) run
 //! verbatim, with real message exchange, ordering, and tag matching.
 //!

@@ -162,3 +162,64 @@ fn gather_scatter_pattern_handles_unequal_shard_sizes() {
     .unwrap();
     assert_eq!(results[0], Some(vec![1, 2, 3, 4]));
 }
+
+#[test]
+fn many_producers_into_one_inbox_keep_per_pair_fifo_without_loss() {
+    // Seven ranks flood rank 0 concurrently on two tags while rank 0 drains
+    // in an order unrelated to the send order: one tag by source (highest
+    // source first), the other through `recv_any`, then the rest by source.
+    // Every out-of-order arrival has to park in the unexpected-message queue
+    // and come back out in per-(source, tag) FIFO order.
+    const RANKS: usize = 8;
+    const PER_TAG: u64 = 300;
+    const TAG_A: u32 = 1;
+    const TAG_B: u32 = 2;
+
+    let results = launch(RANKS, |ctx| {
+        let comm = ctx.world();
+        let me = ctx.rank();
+        if me != 0 {
+            for seq in 0..PER_TAG {
+                for tag in [TAG_A, TAG_B] {
+                    let payload = Payload::U64(vec![me as u64, u64::from(tag), seq]);
+                    comm.send(0, tag, payload).unwrap();
+                }
+            }
+            return None;
+        }
+        // received[src][tag index] = sequence numbers in arrival order.
+        let mut received = vec![[Vec::new(), Vec::new()]; RANKS];
+        let mut record = |src: usize, tag: u32, payload: Payload| {
+            let fields = payload.into_u64().unwrap();
+            assert_eq!(fields[..2], [src as u64, u64::from(tag)]);
+            received[src][(tag - TAG_A) as usize].push(fields[2]);
+        };
+        let half = PER_TAG / 2;
+        for src in (1..RANKS).rev() {
+            for _ in 0..half {
+                record(src, TAG_B, comm.recv(src, TAG_B).unwrap());
+            }
+        }
+        for _ in 0..(RANKS as u64 - 1) * PER_TAG {
+            let (src, payload) = comm.recv_any(TAG_A).unwrap();
+            record(src, TAG_A, payload);
+        }
+        for src in 1..RANKS {
+            for _ in half..PER_TAG {
+                record(src, TAG_B, comm.recv(src, TAG_B).unwrap());
+            }
+        }
+        Some(received)
+    })
+    .unwrap();
+
+    let received = results[0].as_ref().unwrap();
+    let expected: Vec<u64> = (0..PER_TAG).collect();
+    assert!(received[0].iter().all(Vec::is_empty));
+    for (src, per_tag) in received.iter().enumerate().skip(1) {
+        for (tag, seqs) in per_tag.iter().enumerate() {
+            assert_eq!(seqs, &expected, "source {src}, tag index {tag}");
+        }
+    }
+    assert!(results[1..].iter().all(Option::is_none));
+}
